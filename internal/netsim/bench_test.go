@@ -39,6 +39,26 @@ func BenchmarkEvalLinks20(b *testing.B) {
 	}
 }
 
+// BenchmarkEvalHostPath times one host-to-host evaluation of a 20-link
+// path, the call every probe makes; run it with -benchmem to see that
+// it allocates nothing.
+func BenchmarkEvalHostPath(b *testing.B) {
+	top, n := benchNetwork(b)
+	links := make([]topology.LinkID, 20)
+	for i := range links {
+		links[i] = top.Links[(i*37)%len(top.Links)].ID
+	}
+	src, dst := top.Hosts[0].ID, top.Hosts[1].ID
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := n.EvalHostPath(src, dst, links, Time(i%86400))
+		if err != nil || st.DelayMs <= 0 {
+			b.Fatal("no delay", err)
+		}
+	}
+}
+
 func BenchmarkSampleDelay(b *testing.B) {
 	_, n := benchNetwork(b)
 	rng := rand.New(rand.NewSource(1))

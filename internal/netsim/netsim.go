@@ -166,36 +166,104 @@ func (c Config) Validate() error {
 		return fmt.Errorf("netsim: WeekendFactor %.2f outside [0,1]", c.WeekendFactor)
 	case c.NightFloor < 0 || c.NightFloor > 1:
 		return fmt.Errorf("netsim: NightFloor %.2f outside [0,1]", c.NightFloor)
+	case c.RouteWanderAmp != 0 && c.RouteWanderPeriodSec <= 0:
+		return fmt.Errorf("netsim: RouteWanderPeriodSec must be positive when RouteWanderAmp is set")
+	case c.FlapWindowSec < 0 || c.FlapWindowSec > 3600:
+		return fmt.Errorf("netsim: FlapWindowSec %.0f outside [0,3600]", c.FlapWindowSec)
+	case c.FlapProbPerHour < 0 || c.FlapProbPerHour > 1:
+		return fmt.Errorf("netsim: FlapProbPerHour %.4f outside [0,1]", c.FlapProbPerHour)
 	}
 	return nil
 }
 
 // Network evaluates link and path performance at simulated times.
+//
+// Every link quantity is computed by one kernel, linkAt (accessAt for
+// host access links), from two precomputed inputs: the per-link static
+// table built in New and a clock holding the terms that depend only on
+// the time. The public per-quantity methods are thin wrappers over that
+// kernel, so each formula exists exactly once.
 type Network struct {
 	top *topology.Topology
 	cfg Config
+	// links holds the time-independent terms of every link, indexed by
+	// LinkID. The topology is immutable after generation, so the table
+	// is written only in New and read concurrently afterwards.
+	links []linkStatic
+}
+
+// linkStatic is the part of a link's congestion model that does not
+// depend on time.
+type linkStatic struct {
+	baseUtil  float64 // peak-hour target utilization, exchange severity included
+	hourOff   float64 // local-time offset from PST in hours, (lon+120)/15
+	serviceMs float64 // transmission time of one packet
+	propMs    float64 // physical propagation delay
+	exchange  int     // exchange-point index, or -1
 }
 
 // New creates a network model over a topology.
 func New(top *topology.Topology, cfg Config) *Network {
-	return &Network{top: top, cfg: cfg}
+	n := &Network{top: top, cfg: cfg, links: make([]linkStatic, len(top.Links))}
+	for i, l := range top.Links {
+		a := top.Router(l.From).Loc
+		b := top.Router(l.To).Loc
+		lon := (a.LonDeg + b.LonDeg) / 2
+		n.links[i] = linkStatic{
+			baseUtil:  n.baseUtil(l),
+			hourOff:   (lon + 120) / 15,
+			serviceMs: cfg.PacketBytes * 8 / (l.CapacityMbps * 1000),
+			propMs:    l.PropDelayMs,
+			exchange:  l.Exchange,
+		}
+	}
+	return n
 }
 
 // Config returns the model configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// activity returns the diurnal load level in [0,1] for a point with the
-// given longitude: a Gaussian bump peaked at 13:00 local time, damped on
-// weekends.
-func (n *Network) activity(t Time, lonDeg float64) float64 {
-	h := t.LocalHour(lonDeg)
+// clock holds the terms of the model that depend only on the time, so
+// a path evaluation computes them once instead of once per link.
+type clock struct {
+	pstHour float64
+	weekend bool
+	drift   noiseGrid // DriftPeriodSec: link drift, exchange noise, access drift
+	jitter  noiseGrid // JitterPeriodSec
+	wander  noiseGrid // RouteWanderPeriodSec; zero when RouteWanderAmp is 0
+	slot    int64     // hour-long outage slot
+	inSlot  float64   // seconds since the slot began
+}
+
+// clockAt evaluates the time-only terms at t.
+func (n *Network) clockAt(t Time) clock {
+	slot, inSlot := outageSlot(t)
+	c := clock{
+		pstHour: t.PSTHour(),
+		weekend: t.Weekend(),
+		drift:   gridAt(t, n.cfg.DriftPeriodSec),
+		jitter:  gridAt(t, n.cfg.JitterPeriodSec),
+		slot:    slot,
+		inSlot:  inSlot,
+	}
+	if n.cfg.RouteWanderAmp != 0 {
+		c.wander = gridAt(t, n.cfg.RouteWanderPeriodSec)
+	}
+	return c
+}
+
+// activity returns the diurnal load level in [0,1] for a point whose
+// local time is hourOff hours ahead of PST: a Gaussian bump peaked at
+// 13:00 local time, damped on weekends.
+func (n *Network) activity(c *clock, hourOff float64) float64 {
+	h := localHour(c.pstHour, hourOff)
 	// Distance to 13:00 on the 24h circle.
 	d := math.Abs(h - 13)
 	if d > 12 {
 		d = 24 - d
 	}
 	a := math.Exp(-d * d / (2 * 4.5 * 4.5))
-	if t.Weekend() {
+	if c.weekend {
 		a *= n.cfg.WeekendFactor
 	}
 	return a
@@ -233,63 +301,72 @@ func (n *Network) baseUtil(l *topology.Link) float64 {
 	return u
 }
 
-// linkLon returns the longitude used for the link's local-time load curve.
-func (n *Network) linkLon(l *topology.Link) float64 {
-	a := n.top.Router(l.From).Loc
-	b := n.top.Router(l.To).Loc
-	return (a.LonDeg + b.LonDeg) / 2
+// LinkState is the instantaneous state of one link.
+type LinkState struct {
+	// Util is the utilization, in (0, 0.99].
+	Util float64
+	// PropMs is the effective fixed delay: the physical propagation
+	// delay modulated by the slow route-wander process (reroutes change
+	// path baselines for days at a time).
+	PropMs float64
+	// QueueMs is the expected queuing delay: an M/M/1 waiting time
+	// (capped at the packet buffer) for the fine-grained component,
+	// plus a standing-queue component that grows quadratically once
+	// utilization crosses the overload knee — the persistent full
+	// buffers of congested mid-90s exchange fabrics, whose delay is set
+	// by buffer depth in time, not by a single packet's transmission
+	// time.
+	QueueMs float64
+	// Loss is the packet-loss probability, combining the loss floor,
+	// congestion loss above the knee, and outage windows (route flaps,
+	// failures).
+	Loss float64
 }
 
-// Utilization returns the instantaneous utilization of a link in
-// (0, 0.99].
-func (n *Network) Utilization(lid topology.LinkID, t Time) float64 {
-	l := n.top.Link(lid)
-	cfg := n.cfg
-	act := n.activity(t, n.linkLon(l))
+// LinkState evaluates every quantity of a link at time t in one pass.
+func (n *Network) LinkState(lid topology.LinkID, t Time) LinkState {
+	c := n.clockAt(t)
+	return n.linkAt(lid, &c)
+}
+
+// linkAt is the link kernel: it computes the link's utilization once
+// and derives the delays and loss from it.
+//
+//repolint:hotpath
+func (n *Network) linkAt(lid topology.LinkID, c *clock) LinkState {
+	s := &n.links[lid]
+	cfg := &n.cfg
+	act := n.activity(c, s.hourOff)
 	day := cfg.NightFloor + (1-cfg.NightFloor)*act
-	u := n.baseUtil(l) * day
+	u := s.baseUtil * day
 
 	seed := uint64(cfg.Seed)
 	id := uint64(lid) + 1
-	u += cfg.DriftAmp * (valueNoise(seed, id, t, cfg.DriftPeriodSec) - 0.5) * 2
-	u += cfg.JitterAmp * (valueNoise(seed^0x5555, id, t, cfg.JitterPeriodSec) - 0.5) * 2
-	if l.Exchange >= 0 {
+	u += cfg.DriftAmp * (c.drift.at(seed, id) - 0.5) * 2
+	u += cfg.JitterAmp * (c.jitter.at(seed^0x5555, id) - 0.5) * 2
+	if s.exchange >= 0 {
 		// Exchange-wide congestion shared by all links at the fabric.
-		exID := uint64(l.Exchange) + 0x1000
-		u += cfg.ExchangeNoiseAmp * (valueNoise(seed^0x7777, exID, t, cfg.DriftPeriodSec) - 0.5) * 2
+		exID := uint64(s.exchange) + 0x1000
+		u += cfg.ExchangeNoiseAmp * (c.drift.at(seed^0x7777, exID) - 0.5) * 2
 	}
-	return clamp(u, 0.02, 0.99)
-}
+	u = clamp(u, 0.02, 0.99)
 
-// LinkPropMs returns the link's effective fixed delay at time t: the
-// physical propagation delay modulated by the slow route-wander process
-// (reroutes change path baselines for days at a time).
-func (n *Network) LinkPropMs(lid topology.LinkID, t Time) float64 {
-	l := n.top.Link(lid)
-	amp := n.cfg.RouteWanderAmp
-	if amp == 0 {
-		return l.PropDelayMs
+	prop := s.propMs
+	if amp := cfg.RouteWanderAmp; amp != 0 {
+		w := c.wander.at(seed^0x3333, id)
+		prop = s.propMs * (1 + amp*(w-0.5)*2)
 	}
-	w := valueNoise(uint64(n.cfg.Seed)^0x3333, uint64(lid)+1, t, n.cfg.RouteWanderPeriodSec)
-	return l.PropDelayMs * (1 + amp*(w-0.5)*2)
+
+	p := n.congestionLoss(u)
+	if eventAt(seed, id, c.slot, c.inSlot, cfg.FlapProbPerHour, cfg.FlapWindowSec) {
+		p = 1 - (1-p)*(1-cfg.FlapLoss)
+	}
+	return LinkState{Util: u, PropMs: prop, QueueMs: n.queueMs(s.serviceMs, u), Loss: clamp(p, 0, 1)}
 }
 
-// serviceTimeMs is the transmission time of one packet on the link.
-func (n *Network) serviceTimeMs(l *topology.Link) float64 {
-	return n.cfg.PacketBytes * 8 / (l.CapacityMbps * 1000)
-}
-
-// QueueDelayMs returns the expected queuing delay on a link at time t:
-// an M/M/1 waiting time (capped at the packet buffer) for the
-// fine-grained component, plus a standing-queue component that grows
-// quadratically once utilization crosses the overload knee — the
-// persistent full buffers of congested mid-90s exchange fabrics, whose
-// delay is set by buffer depth in time, not by a single packet's
-// transmission time.
-func (n *Network) QueueDelayMs(lid topology.LinkID, t Time) float64 {
-	l := n.top.Link(lid)
-	u := n.Utilization(lid, t)
-	s := n.serviceTimeMs(l)
+// queueMs is the expected queuing delay at utilization u of a link
+// whose packet service time is s ms (see LinkState.QueueMs).
+func (n *Network) queueMs(s, u float64) float64 {
 	w := s * u / (1 - u)
 	if max := s * n.cfg.BufferPackets; w > max {
 		w = max
@@ -301,53 +378,62 @@ func (n *Network) QueueDelayMs(lid topology.LinkID, t Time) float64 {
 	return w
 }
 
-// LossProb returns the packet-loss probability on a link at time t,
-// combining the loss floor, congestion loss above the knee, and outage
-// windows (route flaps, failures).
+// congestionLoss is the loss floor plus the congestion loss above the
+// knee at utilization u, before outages and clamping.
+func (n *Network) congestionLoss(u float64) float64 {
+	p := n.cfg.BaseLoss
+	if u > n.cfg.LossKnee {
+		x := (u - n.cfg.LossKnee) / (1 - n.cfg.LossKnee)
+		p += n.cfg.CongestionLoss * x * x * x
+	}
+	return p
+}
+
+// Utilization returns the instantaneous utilization of a link in
+// (0, 0.99].
+func (n *Network) Utilization(lid topology.LinkID, t Time) float64 {
+	return n.LinkState(lid, t).Util
+}
+
+// LinkPropMs returns the link's effective fixed delay at time t (see
+// LinkState.PropMs).
+func (n *Network) LinkPropMs(lid topology.LinkID, t Time) float64 {
+	return n.LinkState(lid, t).PropMs
+}
+
+// QueueDelayMs returns the expected queuing delay on a link at time t
+// (see LinkState.QueueMs).
+func (n *Network) QueueDelayMs(lid topology.LinkID, t Time) float64 {
+	return n.LinkState(lid, t).QueueMs
+}
+
+// LossProb returns the packet-loss probability on a link at time t
+// (see LinkState.Loss).
 func (n *Network) LossProb(lid topology.LinkID, t Time) float64 {
-	cfg := n.cfg
-	u := n.Utilization(lid, t)
-	p := cfg.BaseLoss
-	if u > cfg.LossKnee {
-		x := (u - cfg.LossKnee) / (1 - cfg.LossKnee)
-		p += cfg.CongestionLoss * x * x * x
-	}
-	if eventAt(uint64(cfg.Seed), uint64(lid)+1, t, cfg.FlapProbPerHour, cfg.FlapWindowSec) {
-		p = 1 - (1-p)*(1-cfg.FlapLoss)
-	}
-	return clamp(p, 0, 1)
+	return n.LinkState(lid, t).Loss
 }
 
 // LinkDelayMs returns the effective fixed delay plus expected queuing
 // delay for a link.
 func (n *Network) LinkDelayMs(lid topology.LinkID, t Time) float64 {
-	return n.LinkPropMs(lid, t) + n.QueueDelayMs(lid, t)
+	st := n.LinkState(lid, t)
+	return st.PropMs + st.QueueMs
 }
 
-// accessState models a host's access link as a synthetic link-like
-// process keyed by the host ID.
-func (n *Network) accessState(h *topology.Host, t Time) (delayMs, loss float64) {
-	cfg := n.cfg
-	act := n.activity(t, h.Loc.LonDeg)
+// accessAt is the access-link kernel: it models a host's access link
+// as a synthetic link-like process keyed by the host ID, and returns
+// its one-way delay (fixed plus expected queuing) and loss.
+//
+//repolint:hotpath
+func (n *Network) accessAt(h *topology.Host, c *clock) (delayMs, loss float64) {
+	cfg := &n.cfg
+	act := n.activity(c, (h.Loc.LonDeg+120)/15)
 	u := cfg.UtilAccess * (cfg.NightFloor + (1-cfg.NightFloor)*act)
 	id := uint64(h.ID) + 0x9000000
-	u += cfg.DriftAmp * (valueNoise(uint64(cfg.Seed)^0x1212, id, t, cfg.DriftPeriodSec) - 0.5) * 2
+	u += cfg.DriftAmp * (c.drift.at(uint64(cfg.Seed)^0x1212, id) - 0.5) * 2
 	u = clamp(u, 0.02, 0.99)
 	s := cfg.PacketBytes * 8 / (h.AccessCapacityMbps * 1000)
-	w := s * u / (1 - u)
-	if max := s * cfg.BufferPackets; w > max {
-		w = max
-	}
-	if u > cfg.QueueKnee {
-		x := (u - cfg.QueueKnee) / (1 - cfg.QueueKnee)
-		w += cfg.BufferMs * x * x
-	}
-	p := cfg.BaseLoss
-	if u > cfg.LossKnee {
-		x := (u - cfg.LossKnee) / (1 - cfg.LossKnee)
-		p += cfg.CongestionLoss * x * x * x
-	}
-	return h.AccessDelayMs + w, clamp(p, 0, 1)
+	return h.AccessDelayMs + n.queueMs(s, u), clamp(n.congestionLoss(u), 0, 1)
 }
 
 // PathState is the instantaneous expected performance of a one-way path.
@@ -365,13 +451,21 @@ type PathState struct {
 // EvalLinks computes the instantaneous one-way state of a sequence of
 // links at time t, without any host access links.
 func (n *Network) EvalLinks(links []topology.LinkID, t Time) PathState {
+	c := n.clockAt(t)
+	return n.evalLinks(links, &c)
+}
+
+// evalLinks is EvalLinks on a clock already evaluated for the time.
+//
+//repolint:hotpath
+func (n *Network) evalLinks(links []topology.LinkID, c *clock) PathState {
 	st := PathState{}
 	surv := 1.0
 	for _, lid := range links {
-		prop := n.LinkPropMs(lid, t)
-		st.PropDelayMs += prop
-		st.DelayMs += prop + n.QueueDelayMs(lid, t)
-		surv *= 1 - n.LossProb(lid, t)
+		ls := n.linkAt(lid, c)
+		st.PropDelayMs += ls.PropMs
+		st.DelayMs += ls.PropMs + ls.QueueMs
+		surv *= 1 - ls.Loss
 	}
 	st.LossProb = 1 - surv
 	return st
@@ -384,9 +478,10 @@ func (n *Network) EvalHostPath(src, dst topology.HostID, links []topology.LinkID
 	if hs == nil || hd == nil {
 		return PathState{}, fmt.Errorf("netsim: unknown host %d or %d", src, dst)
 	}
-	st := n.EvalLinks(links, t)
-	sd, sl := n.accessState(hs, t)
-	dd, dl := n.accessState(hd, t)
+	c := n.clockAt(t)
+	st := n.evalLinks(links, &c)
+	sd, sl := n.accessAt(hs, &c)
+	dd, dl := n.accessAt(hd, &c)
 	st.DelayMs += sd + dd
 	st.PropDelayMs += hs.AccessDelayMs + hd.AccessDelayMs
 	st.LossProb = 1 - (1-st.LossProb)*(1-sl)*(1-dl)
@@ -402,7 +497,8 @@ func (n *Network) HostAccessState(id topology.HostID, t Time) (delayMs, loss flo
 	if h == nil {
 		return 0, 0, false
 	}
-	d, l := n.accessState(h, t)
+	c := n.clockAt(t)
+	d, l := n.accessAt(h, &c)
 	return d, l, true
 }
 

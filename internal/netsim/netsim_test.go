@@ -232,10 +232,16 @@ func TestSampleLossMatchesProbability(t *testing.T) {
 	}
 }
 
+// noiseAt samples the value noise of one entity at one instant.
+func noiseAt(seed, entity uint64, t Time, period float64) float64 {
+	g := gridAt(t, period)
+	return g.at(seed, entity)
+}
+
 func TestValueNoiseProperties(t *testing.T) {
 	// Range check across many entities and times.
 	f := func(entity uint16, tRaw uint32) bool {
-		v := valueNoise(1, uint64(entity), Time(float64(tRaw)/7.0), 60)
+		v := noiseAt(1, uint64(entity), Time(float64(tRaw)/7.0), 60)
 		return v >= 0 && v <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -244,8 +250,8 @@ func TestValueNoiseProperties(t *testing.T) {
 	// Continuity: small time steps make small value steps.
 	for i := 0; i < 1000; i++ {
 		t0 := Time(float64(i) * 13.7)
-		a := valueNoise(9, 42, t0, 600)
-		b := valueNoise(9, 42, t0+1, 600)
+		a := noiseAt(9, 42, t0, 600)
+		b := noiseAt(9, 42, t0+1, 600)
 		if math.Abs(a-b) > 0.02 {
 			t.Fatalf("noise jumped %f -> %f over 1s with 600s period", a, b)
 		}
@@ -343,6 +349,12 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.DriftPeriodSec = 0 },
 		func(c *Config) { c.WeekendFactor = 2 },
 		func(c *Config) { c.NightFloor = -1 },
+		func(c *Config) { c.RouteWanderPeriodSec = 0 },
+		func(c *Config) { c.RouteWanderPeriodSec = -100 },
+		func(c *Config) { c.FlapWindowSec = -1 },
+		func(c *Config) { c.FlapWindowSec = 3601 },
+		func(c *Config) { c.FlapProbPerHour = -0.1 },
+		func(c *Config) { c.FlapProbPerHour = 1.5 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()
@@ -350,6 +362,12 @@ func TestConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+	// Without route wander its period is never used.
+	cfg := DefaultConfig()
+	cfg.RouteWanderAmp, cfg.RouteWanderPeriodSec = 0, 0
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("wander disabled with zero period rejected: %v", err)
 	}
 }
 

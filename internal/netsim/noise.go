@@ -25,34 +25,52 @@ func unit(h uint64) float64 {
 	return float64(h>>11) / float64(1<<53)
 }
 
-// valueNoise returns a smooth pseudo-random signal in [0,1] for the given
-// entity, evaluated at time t with the given period (seconds). Values at
-// integer grid points are independent uniforms; between them the signal
-// is cosine-interpolated.
-func valueNoise(seed, entity uint64, t Time, period float64) float64 {
+// noiseGrid is the time-dependent part of a value-noise signal at one
+// instant and period: the two grid points around the instant and the
+// cosine weight between them. It depends only on (t, period), so one
+// grid serves every entity sampled at that instant.
+type noiseGrid struct {
+	k0, k1 uint64
+	w      float64
+}
+
+// gridAt locates t on the noise grid of the given period (seconds).
+func gridAt(t Time, period float64) noiseGrid {
 	x := float64(t) / period
 	k := math.Floor(x)
 	frac := x - k
-	a := unit(hash64(seed, entity, uint64(int64(k))))
-	b := unit(hash64(seed, entity, uint64(int64(k)+1)))
 	// Cosine interpolation avoids derivative discontinuities at grid
 	// points that linear interpolation would introduce.
 	w := (1 - math.Cos(frac*math.Pi)) / 2
-	return a*(1-w) + b*w
+	return noiseGrid{k0: uint64(int64(k)), k1: uint64(int64(k) + 1), w: w}
+}
+
+// at returns the value noise of an entity: a smooth pseudo-random
+// signal in [0,1] whose values at integer grid points are independent
+// uniforms, cosine-interpolated between them.
+func (g *noiseGrid) at(seed, entity uint64) float64 {
+	a := unit(hash64(seed, entity, g.k0))
+	b := unit(hash64(seed, entity, g.k1))
+	return a*(1-g.w) + b*g.w
+}
+
+// outageSlot returns the hour-long outage slot containing t and the
+// seconds elapsed since the slot began.
+func outageSlot(t Time) (slot int64, inSlot float64) {
+	slot = int64(math.Floor(float64(t) / 3600))
+	return slot, float64(t) - float64(slot)*3600
 }
 
 // eventAt reports whether a rare event (an outage window) is active for
-// the entity at time t. Each window of length windowSec occurs within an
-// hour-long slot with probability probPerHour, at a pseudo-random offset
-// within the slot.
-func eventAt(seed, entity uint64, t Time, probPerHour, windowSec float64) bool {
-	slot := int64(math.Floor(float64(t) / 3600))
+// the entity at inSlot seconds into the given outage slot. Each window
+// of length windowSec occurs within an hour-long slot with probability
+// probPerHour, at a pseudo-random offset within the slot.
+func eventAt(seed, entity uint64, slot int64, inSlot, probPerHour, windowSec float64) bool {
 	h := hash64(seed^0xABCD, entity, uint64(slot))
 	if unit(h) >= probPerHour {
 		return false
 	}
 	// Window offset within the slot, from an independent hash.
 	off := unit(hash64(seed^0xFEED, entity, uint64(slot))) * (3600 - windowSec)
-	inSlot := float64(t) - float64(slot)*3600
 	return inSlot >= off && inSlot < off+windowSec
 }

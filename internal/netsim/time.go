@@ -42,8 +42,27 @@ func (t Time) Weekend() bool {
 // produces the east-coast-peaks-earlier effect visible in the paper's
 // PST-bucketed graphs.
 func (t Time) LocalHour(lonDeg float64) float64 {
-	offset := (lonDeg + 120) / 15 // hours ahead of PST
-	h := math.Mod(t.PSTHour()+offset, 24)
+	return localHour(t.PSTHour(), (lonDeg+120)/15)
+}
+
+// localHour wraps h = pst+offset onto [0,24), bit for bit as
+// math.Mod(h, 24) shifted into [0,24). The link kernel calls it per
+// link, so it skips math.Mod where a cheaper expression is provably
+// equal. math.Mod returns the exact remainder. For h in [0,24) that is
+// h itself. For h in [24,48) it is h-24, and the subtraction h-24 is
+// exact because 24/2 <= h <= 2*24 (Sterbenz's lemma). PST hours lie in
+// [0,24) and longitude offsets in [-4,20], so the math.Mod fallback
+// serves only longitudes west of 120°W while their local date is still
+// the previous day.
+func localHour(pst, offset float64) float64 {
+	h := pst + offset
+	switch {
+	case h >= 0 && h < 24:
+		return h
+	case h >= 24 && h < 48:
+		return h - 24
+	}
+	h = math.Mod(h, 24)
 	if h < 0 {
 		h += 24
 	}

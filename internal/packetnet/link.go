@@ -52,9 +52,10 @@ func (n *Network) sampleCore(ls *linkState, l *topology.Link, t netsim.Time) {
 		ls.propSec = l.PropDelayMs / 1000
 		ls.lossProb = 0
 	} else {
-		u = n.ns.Utilization(l.ID, ts)
-		ls.propSec = (n.ns.LinkPropMs(l.ID, ts) + n.ns.QueueDelayMs(l.ID, ts)) / 1000
-		ls.lossProb = n.ns.LossProb(l.ID, ts)
+		st := n.ns.LinkState(l.ID, ts)
+		u = st.Util
+		ls.propSec = (st.PropMs + st.QueueMs) / 1000
+		ls.lossProb = st.Loss
 	}
 	resid := 1 - u
 	if resid < residFloor {

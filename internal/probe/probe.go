@@ -234,6 +234,13 @@ func (p *Prober) Transfer(src, dst topology.HostID, t netsim.Time) (TransferResu
 	if p.top.Host(src) == nil || p.top.Host(dst) == nil {
 		return TransferResult{}, fmt.Errorf("probe: unknown host %d or %d", src, dst)
 	}
+	// A transfer lasts tens of seconds; sample the network state a few
+	// times across it and accumulate.
+	const states = 5
+	if p.cfg.TransferPackets < states {
+		return TransferResult{}, fmt.Errorf("probe: TransferPackets %d is below the %d network states a transfer samples",
+			p.cfg.TransferPackets, states)
+	}
 	res := TransferResult{Src: src, Dst: dst, At: t, Packets: p.cfg.TransferPackets}
 	if p.rng.Float64() < p.cfg.ContactFailProb {
 		res.Failed = true
@@ -249,9 +256,6 @@ func (p *Prober) Transfer(src, dst topology.HostID, t netsim.Time) (TransferResu
 		res.Failed = true
 		return res, nil
 	}
-	// A transfer lasts tens of seconds; sample the network state a few
-	// times across it and accumulate.
-	const states = 5
 	rttSum := 0.0
 	lost := 0
 	perState := p.cfg.TransferPackets / states

@@ -196,6 +196,25 @@ func TestTransfer(t *testing.T) {
 	}
 }
 
+func TestTransferPacketFloor(t *testing.T) {
+	for _, n := range []int{0, 4, 5} {
+		fx := newFixture(t, func(c *Config) { c.ContactFailProb = 0; c.TransferPackets = n })
+		res, err := fx.prb.Transfer(fx.top.Hosts[4].ID, fx.top.Hosts[5].ID, 3*86400)
+		if n < 5 {
+			if err == nil {
+				t.Errorf("TransferPackets %d: want error, got LossRate %v", n, res.LossRate)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("TransferPackets %d: %v", n, err)
+		}
+		if math.IsNaN(res.LossRate) || res.Packets != n {
+			t.Errorf("TransferPackets %d: LossRate %v over %d packets", n, res.LossRate, res.Packets)
+		}
+	}
+}
+
 func TestUnknownHosts(t *testing.T) {
 	fx := newFixture(t, nil)
 	if _, err := fx.prb.Traceroute(-1, fx.top.Hosts[0].ID, 0); err == nil {
