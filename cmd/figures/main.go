@@ -9,6 +9,9 @@
 //	figures [-preset quick|full|scale] [-seed N] [-workers N] [-out DIR]
 //	        [-snapshot-dir DIR]
 //
+// Every data file, the extension exhibits' included, goes under -out;
+// without -out the command only prints its report.
+//
 // With -snapshot-dir the built suite is also persisted as a binary
 // snapshot (internal/snapshot), so a serve fleet started with the same
 // -snapshot-dir warm-starts from this run's datasets instead of
@@ -54,36 +57,6 @@ func main() {
 	}
 }
 
-// seriesFig names one CDF-series exhibit of the paper.
-type seriesFig struct {
-	id    string
-	title string
-	fn    func(*experiments.Suite) ([]experiments.Series, error)
-}
-
-// scaleFigs is the exhibit subset the scale preset runs: the headline
-// improvement CDFs that exercise the planet-scale substrate without the
-// episode and bandwidth campaigns' quadratic post-processing.
-var scaleFigs = []seriesFig{
-	{"figure1", "Figure 1: CDF of mean RTT difference (default - best alternate)", experiments.Figure1},
-	{"figure2", "Figure 2: CDF of RTT ratio (default / best alternate)", experiments.Figure2},
-	{"figure3", "Figure 3: CDF of mean loss-rate difference", experiments.Figure3},
-	{"figure15", "Figure 15: propagation delay vs mean RTT improvement (UW3)", experiments.Figure15},
-}
-
-var allFigs = []seriesFig{
-	{"figure1", "Figure 1: CDF of mean RTT difference (default - best alternate)", experiments.Figure1},
-	{"figure2", "Figure 2: CDF of RTT ratio (default / best alternate)", experiments.Figure2},
-	{"figure3", "Figure 3: CDF of mean loss-rate difference", experiments.Figure3},
-	{"figure4", "Figure 4: CDF of bandwidth difference (one-hop alternates)", experiments.Figure4},
-	{"figure5", "Figure 5: CDF of bandwidth ratio", experiments.Figure5},
-	{"figure6", "Figure 6: mean vs median RTT improvement (one-hop, D2-NA)", experiments.Figure6},
-	{"figure9", "Figure 9: RTT improvement by time of day (UW3)", experiments.Figure9},
-	{"figure10", "Figure 10: loss improvement by time of day (UW3)", experiments.Figure10},
-	{"figure11", "Figure 11: long-term average vs simultaneous episodes (UW4)", experiments.Figure11},
-	{"figure15", "Figure 15: propagation delay vs mean RTT improvement (UW3)", experiments.Figure15},
-}
-
 // printTable1 prints the dataset-characteristics table.
 func printTable1(s *experiments.Suite) error {
 	fmt.Println("\n== Table 1: dataset characteristics ==")
@@ -97,19 +70,23 @@ func printTable1(s *experiments.Suite) error {
 	return report.Table(os.Stdout, rows)
 }
 
-// printSeriesFigs runs and prints the given CDF exhibits, dumping data
-// files when outDir is set.
-func printSeriesFigs(s *experiments.Suite, outDir string, figs []seriesFig) error {
-	for _, fig := range figs {
-		series, err := fig.fn(s)
-		if err != nil {
-			return fmt.Errorf("%s: %w", fig.id, err)
+// printSeriesFigs runs and prints the registry's figures that keep
+// selects, in order, dumping data files when outDir is set.
+func printSeriesFigs(s *experiments.Suite, outDir string, keep func(experiments.Figure) bool) error {
+	for _, fig := range experiments.Figures {
+		if !keep(fig) {
+			continue
 		}
-		fmt.Printf("\n== %s ==\n", fig.title)
+		id := fmt.Sprintf("figure%d", fig.N)
+		series, err := fig.Series(s)
+		if err != nil {
+			return fmt.Errorf("%s: %w", id, err)
+		}
+		fmt.Printf("\n== %s ==\n", fig.Title)
 		for _, sr := range series {
 			fmt.Printf("  %-26s %s\n", sr.Name, report.CDFSummary(sr.CDF))
 			if outDir != "" {
-				if err := dumpSeries(outDir, fig.id, sr); err != nil {
+				if err := dumpSeries(outDir, id, sr); err != nil {
 					return err
 				}
 			}
@@ -163,7 +140,7 @@ func runScale(s *experiments.Suite, outDir string) error {
 	if err := printTable1(s); err != nil {
 		return err
 	}
-	if err := printSeriesFigs(s, outDir, scaleFigs); err != nil {
+	if err := printSeriesFigs(s, outDir, func(f experiments.Figure) bool { return f.Scale }); err != nil {
 		return err
 	}
 	return printVerdictTables(s)
@@ -185,6 +162,11 @@ func run(cfg experiments.Config, outDir, snapDir string) error {
 		}
 		fmt.Printf("suite snapshot written to %s\n", path)
 	}
+	if outDir != "" {
+		if err := os.MkdirAll(outDir, 0o755); err != nil {
+			return err
+		}
+	}
 	if cfg.Preset == experiments.Scale {
 		return runScale(s, outDir)
 	}
@@ -193,7 +175,8 @@ func run(cfg experiments.Config, outDir, snapDir string) error {
 		return err
 	}
 
-	if err := printSeriesFigs(s, outDir, allFigs); err != nil {
+	// Figures the registry marks Detailed get their own sections below.
+	if err := printSeriesFigs(s, outDir, func(f experiments.Figure) bool { return !f.Detailed }); err != nil {
 		return err
 	}
 
@@ -396,8 +379,10 @@ func run(cfg experiments.Config, outDir, snapDir string) error {
 	if err := report.Table(os.Stdout, prows); err != nil {
 		return err
 	}
-	if err := dumpPacketLevel(overlayDir(outDir), pv); err != nil {
-		return err
+	if outDir != "" {
+		if err := dumpPacketLevel(outDir, pv); err != nil {
+			return err
+		}
 	}
 
 	fmt.Println("\n== Extension: path inflation vs the policy-free optimum ==")
@@ -462,8 +447,10 @@ func run(cfg experiments.Config, outDir, snapDir string) error {
 	if err := report.Table(os.Stdout, orows); err != nil {
 		return err
 	}
-	if err := dumpOverlay(overlayDir(outDir), ov); err != nil {
-		return err
+	if outDir != "" {
+		if err := dumpOverlay(outDir, ov); err != nil {
+			return err
+		}
 	}
 
 	mp, err := experiments.Multipath(s)
@@ -495,8 +482,10 @@ func run(cfg experiments.Config, outDir, snapDir string) error {
 	if err := report.Table(os.Stdout, srows); err != nil {
 		return err
 	}
-	if err := dumpMultipath(overlayDir(outDir), mp); err != nil {
-		return err
+	if outDir != "" {
+		if err := dumpMultipath(outDir, mp); err != nil {
+			return err
+		}
 	}
 
 	fracs, err := experiments.SeedSensitivity(cfg.Seed, 5)
@@ -511,23 +500,10 @@ func run(cfg experiments.Config, outDir, snapDir string) error {
 	return nil
 }
 
-// overlayDir resolves where the overlay exhibit's data files go: the
-// -out directory when given, otherwise results/ — the exhibit always
-// leaves plottable artifacts behind.
-func overlayDir(outDir string) string {
-	if outDir != "" {
-		return outDir
-	}
-	return "results"
-}
-
 // dumpOverlay writes the overlay exhibit's data files: a per-budget
 // summary, one failover-reaction CDF per probing budget, and the
 // per-connection RTT CDFs of the reference budget.
 func dumpOverlay(dir string, ov experiments.OverlayResult) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	var b strings.Builder
 	b.WriteString("# probes_per_sec\tavail_default\tavail_overlay\tavail_optimal\trtt_default_ms\trtt_overlay_ms\trtt_optimal_ms\tloss_default\tloss_overlay\tloss_optimal\trelay_share\tprobes\tswitches\toutages\treactions\n")
 	for _, bd := range ov.Budgets {
@@ -543,7 +519,7 @@ func dumpOverlay(dir string, ov experiments.OverlayResult) error {
 	}
 	for _, bd := range ov.Budgets {
 		name := fmt.Sprintf("overlay-reaction-b%s.dat", sanitize(fmt.Sprintf("%g", bd.ProbesPerSec)))
-		if err := dumpCDFFile(dir, name, bd.Reactions); err != nil {
+		if err := dumpCDF(dir, name, stats.NewCDF(bd.Reactions)); err != nil {
 			return err
 		}
 	}
@@ -555,7 +531,7 @@ func dumpOverlay(dir string, ov experiments.OverlayResult) error {
 		{"overlay-pair-rtt-default.dat", ov.DefaultRTTs},
 		{"overlay-pair-rtt-optimal.dat", ov.OptimalRTTs},
 	} {
-		if err := dumpCDFFile(dir, rtt.name, rtt.values); err != nil {
+		if err := dumpCDF(dir, rtt.name, stats.NewCDF(rtt.values)); err != nil {
 			return err
 		}
 	}
@@ -565,9 +541,6 @@ func dumpOverlay(dir string, ov experiments.OverlayResult) error {
 // dumpMultipath writes the multipath exhibit's data files: the
 // k-vs-benefit curve and the per-pair best-AS-disjointness CDF.
 func dumpMultipath(dir string, mp experiments.MultipathResult) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	var b strings.Builder
 	b.WriteString("# k\tmean_improvement_ms\tfully_disjoint_frac\tmean_max_disjointness\n")
 	for _, pt := range mp.Curve {
@@ -577,15 +550,12 @@ func dumpMultipath(dir string, mp experiments.MultipathResult) error {
 	if err := os.WriteFile(filepath.Join(dir, "multipath-kcurve.dat"), []byte(b.String()), 0o644); err != nil {
 		return err
 	}
-	return dumpCDFFile(dir, "multipath-disjointness.dat", mp.Disjointness)
+	return dumpCDF(dir, "multipath-disjointness.dat", stats.NewCDF(mp.Disjointness))
 }
 
 // dumpPacketLevel writes the packet-level validation's data files: the
 // per-pair three-way comparison and the regime divergence summary.
 func dumpPacketLevel(dir string, pv experiments.PacketValidation) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	var b strings.Builder
 	b.WriteString("# pair\trtt_ms\tloss\tpacket_kbs\tmathis_kbs\ttcpsim_kbs\tretransmits\ttimeouts\tfast_retx\tout_of_order\n")
 	for _, r := range pv.Results {
@@ -604,32 +574,21 @@ func dumpPacketLevel(dir string, pv experiments.PacketValidation) error {
 	return os.WriteFile(filepath.Join(dir, "packetlevel-regimes.dat"), []byte(b.String()), 0o644)
 }
 
-func dumpCDFFile(dir, name string, values []float64) error {
+// dumpCDF writes c to dir/name as plottable tab-separated data.
+func dumpCDF(dir, name string, c stats.CDF) error {
 	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return report.DumpCDF(f, stats.NewCDF(values), 500)
+	return report.DumpCDF(f, c, 500)
 }
 
 func dumpSeries(dir, figID string, sr experiments.Series) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	name := fmt.Sprintf("%s-%s.dat", figID, sanitize(sr.Name))
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return report.DumpCDF(f, sr.CDF, 500)
+	return dumpCDF(dir, fmt.Sprintf("%s-%s.dat", figID, sanitize(sr.Name)), sr.CDF)
 }
 
 func dumpCIPoints(dir, figID string, pts []core.CIPoint) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	var b strings.Builder
 	for i, p := range pts {
 		frac := float64(i+1) / float64(len(pts))

@@ -24,8 +24,8 @@ type suiteKey struct {
 
 // suiteEntry is one cache slot: either an in-flight build (ready open)
 // or a completed one (ready closed, suite/err set). Completed entries
-// also memoize figure computations per figure key, so repeated figure
-// requests against a cached suite are cheap while distinct figures
+// also memoize every exhibit computed on the suite, so repeated
+// requests against a cached suite are cheap while distinct exhibits
 // still compute concurrently.
 type suiteEntry struct {
 	cfg experiments.Config
@@ -41,51 +41,9 @@ type suiteEntry struct {
 	waiters int
 	cancel  context.CancelFunc
 
-	// figMu guards figures; each figure gets its own future so two
-	// different figures never serialize behind one lock (and the same
-	// figure computes exactly once per suite).
-	figMu   sync.Mutex
-	figures map[string]*figFuture
-
-	// ovMu guards overlay, the memoized overlay-exhibit computation.
-	ovMu    sync.Mutex
-	overlay *overlayFuture
-
-	// mpMu guards multipath, the memoized path-set exhibit.
-	mpMu      sync.Mutex
-	multipath *multipathFuture
-
-	// pvMu guards packet, the memoized packet-level validation.
-	pvMu   sync.Mutex
-	packet *packetFuture
-}
-
-// figFuture memoizes one figure computation on a suite.
-type figFuture struct {
-	done   chan struct{}
-	series []experiments.Series
-	err    error
-}
-
-// overlayFuture memoizes the overlay exhibit on a suite.
-type overlayFuture struct {
-	done chan struct{}
-	res  experiments.OverlayResult
-	err  error
-}
-
-// multipathFuture memoizes the path-set exhibit on a suite.
-type multipathFuture struct {
-	done chan struct{}
-	res  experiments.MultipathResult
-	err  error
-}
-
-// packetFuture memoizes the packet-level validation on a suite.
-type packetFuture struct {
-	done chan struct{}
-	res  experiments.PacketValidation
-	err  error
+	// results holds the suite's exhibits (tables, figure curves,
+	// extension results), keyed by the name the handler gives each.
+	results memo[string, any]
 }
 
 // BuildFunc builds a suite; production wires experiments.BuildContext,
@@ -132,7 +90,7 @@ func NewSuiteCache(max, maxBuild, concurrency int, build BuildFunc, m *Metrics) 
 	}
 }
 
-// get returns the entry for cfg, building it on demand. The returned
+// Get returns the entry for cfg, building it on demand. The returned
 // entry's build has completed successfully (entry.suite is usable).
 // Cancelling ctx abandons the wait; if that makes the waiter count
 // reach zero the in-flight build itself is cancelled.
@@ -179,7 +137,6 @@ func (c *SuiteCache) Get(ctx context.Context, cfg experiments.Config) (*suiteEnt
 			ready:   make(chan struct{}),
 			cancel:  cancel,
 			waiters: 1,
-			figures: map[string]*figFuture{},
 		}
 		c.entries[key] = e
 		c.order = append(c.order, key)

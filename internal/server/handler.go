@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 
+	"pathsel/internal/dataset"
 	"pathsel/internal/experiments"
 	"pathsel/internal/obs"
 	"pathsel/internal/stats"
@@ -33,13 +34,15 @@ type handler struct {
 func NewHandler(cache *SuiteCache, defaults experiments.Config, reg *obs.Registry) http.Handler {
 	h := &handler{cache: cache, defaults: defaults, reg: reg, mux: http.NewServeMux()}
 	h.mux.HandleFunc("GET /{$}", h.index)
-	h.mux.HandleFunc("GET /api/table1", h.table1)
+	h.mux.HandleFunc("GET /api/table1", jsonExhibit(h, "table1", func(s *experiments.Suite) ([]dataset.Characteristics, error) {
+		return experiments.Table1(s), nil
+	}))
 	h.mux.HandleFunc("GET /api/table/{n}", h.verdictTable)
 	h.mux.HandleFunc("GET /api/figure/{n}", h.figure)
 	h.mux.HandleFunc("GET /api/cdf/{fig}/{series}", h.cdf)
 	h.mux.HandleFunc("GET /api/overlay", h.overlay)
-	h.mux.HandleFunc("GET /api/multipath", h.multipath)
-	h.mux.HandleFunc("GET /api/packetlevel", h.packetlevel)
+	h.mux.HandleFunc("GET /api/multipath", jsonExhibit(h, "multipath", experiments.Multipath))
+	h.mux.HandleFunc("GET /api/packetlevel", jsonExhibit(h, "packetlevel", experiments.ValidatePacketLevel))
 	h.mux.HandleFunc("GET /api/suites", h.suites)
 	h.mux.HandleFunc("GET /healthz", h.healthz)
 	h.mux.Handle("GET /metrics", reg.Handler())
@@ -108,134 +111,48 @@ func (h *handler) entryFor(w http.ResponseWriter, r *http.Request) (*suiteEntry,
 	return nil, false
 }
 
-// seriesFigures maps figure numbers to their drivers. Figures with
-// non-series output (7, 8, 12, 13, 14, 16) are adapted in
-// computeSeries.
-var seriesFigures = map[string]func(*experiments.Suite) ([]experiments.Series, error){
-	"1": experiments.Figure1, "2": experiments.Figure2, "3": experiments.Figure3,
-	"4": experiments.Figure4, "5": experiments.Figure5, "6": experiments.Figure6,
-	"9": experiments.Figure9, "10": experiments.Figure10, "11": experiments.Figure11,
-	"15": experiments.Figure15,
+// memoized resolves the request's suite and returns the exhibit
+// stored under key in the suite's memo, computing it on first use. It
+// writes the error response and returns ok=false when the caller
+// should not proceed.
+func memoized[V any](h *handler, w http.ResponseWriter, r *http.Request, key string, compute func(*experiments.Suite) (V, error)) (V, bool) {
+	var res V
+	e, ok := h.entryFor(w, r)
+	if !ok {
+		return res, false
+	}
+	v, err := e.results.do(r.Context(), key, func(ctx context.Context) (any, error) {
+		return compute(e.suite.WithContext(ctx))
+	})
+	if err != nil {
+		if r.Context().Err() == nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+		return res, false
+	}
+	return v.(V), true
 }
 
-// errUnknownFigure distinguishes a 404 from a computation failure.
-var errUnknownFigure = errors.New("unknown figure")
-
-// adaptedFigures are the non-series figures computeSeries adapts.
-var adaptedFigures = map[string]bool{"7": true, "8": true, "12": true, "13": true, "14": true, "16": true}
-
-// validFigure reports whether n names a servable figure; checked before
-// resolving the suite so an unknown figure 404s without building
-// anything.
-func validFigure(n string) bool {
-	_, ok := seriesFigures[n]
-	return ok || adaptedFigures[n]
-}
-
-// computeSeries runs one figure driver on the suite, adapting the
-// non-series figures to CDF curves.
-func computeSeries(s *experiments.Suite, n string) ([]experiments.Series, error) {
-	switch n {
-	case "7", "8":
-		fn := experiments.Figure7
-		if n == "8" {
-			fn = experiments.Figure8
+// jsonExhibit serves the exhibit compute returns as its JSON body.
+func jsonExhibit[V any](h *handler, key string, compute func(*experiments.Suite) (V, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if res, ok := memoized(h, w, r, key, compute); ok {
+			writeJSON(w, res)
 		}
-		pts, err := fn(s)
-		if err != nil {
-			return nil, err
-		}
-		vals := make([]float64, len(pts))
-		for i, p := range pts {
-			vals[i] = p.Improvement
-		}
-		return []experiments.Series{{Name: "improvement", CDF: stats.NewCDF(vals)}}, nil
-	case "12":
-		res, err := experiments.Figure12(s)
-		if err != nil {
-			return nil, err
-		}
-		return []experiments.Series{res.All, res.Without}, nil
-	case "13":
-		sr, err := experiments.Figure13(s)
-		if err != nil {
-			return nil, err
-		}
-		return []experiments.Series{sr}, nil
-	case "14":
-		counts, err := experiments.Figure14(s)
-		if err != nil {
-			return nil, err
-		}
-		direct := make([]float64, len(counts))
-		alt := make([]float64, len(counts))
-		for i, c := range counts {
-			direct[i] = float64(c.Direct)
-			alt[i] = float64(c.Alternate)
-		}
-		return []experiments.Series{
-			{Name: "direct", CDF: stats.NewCDF(direct)},
-			{Name: "alternate", CDF: stats.NewCDF(alt)},
-		}, nil
-	case "16":
-		decs, err := experiments.Figure16(s)
-		if err != nil {
-			return nil, err
-		}
-		total := make([]float64, len(decs))
-		prop := make([]float64, len(decs))
-		for i, d := range decs {
-			total[i] = d.TotalDiff
-			prop[i] = d.PropDiff
-		}
-		return []experiments.Series{
-			{Name: "total", CDF: stats.NewCDF(total)},
-			{Name: "propagation", CDF: stats.NewCDF(prop)},
-		}, nil
-	default:
-		fn, ok := seriesFigures[n]
-		if !ok {
-			return nil, fmt.Errorf("%w %q", errUnknownFigure, n)
-		}
-		return fn(s)
 	}
 }
 
-// seriesFor returns the (memoized) curves for a figure number on a
-// cached suite. Each figure key has its own future, so distinct
-// figures compute concurrently and the same figure computes once per
-// suite; a computation aborted by its requester's disconnection is
-// forgotten so the next request retries.
-func (h *handler) seriesFor(ctx context.Context, e *suiteEntry, n string) ([]experiments.Series, error) {
-	for {
-		e.figMu.Lock()
-		f, ok := e.figures[n]
-		if !ok {
-			f = &figFuture{done: make(chan struct{})}
-			e.figures[n] = f
-			e.figMu.Unlock()
-			f.series, f.err = computeSeries(e.suite.WithContext(ctx), n)
-			if f.err != nil && errors.Is(f.err, context.Canceled) {
-				// Cancelled mid-computation: drop the future before
-				// publishing so waiters joined on it can retry.
-				e.figMu.Lock()
-				delete(e.figures, n)
-				e.figMu.Unlock()
-			}
-			close(f.done)
-			return f.series, f.err
-		}
-		e.figMu.Unlock()
-		select {
-		case <-f.done:
-			if f.err != nil && errors.Is(f.err, context.Canceled) && ctx.Err() == nil {
-				continue // the computing request disconnected; retry as owner
-			}
-			return f.series, f.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
+// figureFor looks up the registry figure a path segment names, writing
+// a 404 when there is none; checked before resolving the suite so an
+// unknown figure 404s without building anything.
+func figureFor(w http.ResponseWriter, n string) (experiments.Figure, bool) {
+	for _, f := range experiments.Figures {
+		if strconv.Itoa(f.N) == n {
+			return f, true
 		}
 	}
+	http.Error(w, fmt.Sprintf("unknown figure %q", n), http.StatusNotFound)
+	return experiments.Figure{}, false
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -243,14 +160,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-func (h *handler) table1(w http.ResponseWriter, r *http.Request) {
-	e, ok := h.entryFor(w, r)
-	if !ok {
-		return
-	}
-	writeJSON(w, experiments.Table1(e.suite))
 }
 
 type verdictJSON struct {
@@ -263,7 +172,8 @@ type verdictJSON struct {
 
 func (h *handler) verdictTable(w http.ResponseWriter, r *http.Request) {
 	var fn func(*experiments.Suite) ([]experiments.VerdictRow, error)
-	switch r.PathValue("n") {
+	n := r.PathValue("n")
+	switch n {
 	case "2":
 		fn = experiments.Table2
 	case "3":
@@ -272,13 +182,8 @@ func (h *handler) verdictTable(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown table (want 2 or 3)", http.StatusNotFound)
 		return
 	}
-	e, ok := h.entryFor(w, r)
+	rows, ok := memoized(h, w, r, "table/"+n, fn)
 	if !ok {
-		return
-	}
-	rows, err := fn(e.suite.WithContext(r.Context()))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	out := make([]verdictJSON, len(rows))
@@ -315,23 +220,21 @@ func cdfQuery(r *http.Request) string {
 	return "?" + strings.Join(keep, "&")
 }
 
+// series returns the memoized curves of the figure a path segment
+// names, writing the error response and returning ok=false when the
+// caller should not proceed.
+func (h *handler) series(w http.ResponseWriter, r *http.Request, n string) ([]experiments.Series, bool) {
+	fig, ok := figureFor(w, n)
+	if !ok {
+		return nil, false
+	}
+	return memoized(h, w, r, "figure/"+n, fig.Series)
+}
+
 func (h *handler) figure(w http.ResponseWriter, r *http.Request) {
 	n := r.PathValue("n")
-	if !validFigure(n) {
-		http.Error(w, fmt.Sprintf("unknown figure %q", n), http.StatusNotFound)
-		return
-	}
-	e, ok := h.entryFor(w, r)
+	series, ok := h.series(w, r, n)
 	if !ok {
-		return
-	}
-	series, err := h.seriesFor(r.Context(), e, n)
-	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, errUnknownFigure) {
-			code = http.StatusNotFound
-		}
-		http.Error(w, err.Error(), code)
 		return
 	}
 	out := make([]seriesJSON, 0, len(series))
@@ -348,21 +251,8 @@ func (h *handler) figure(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *handler) cdf(w http.ResponseWriter, r *http.Request) {
-	if n := r.PathValue("fig"); !validFigure(n) {
-		http.Error(w, fmt.Sprintf("unknown figure %q", n), http.StatusNotFound)
-		return
-	}
-	e, ok := h.entryFor(w, r)
+	series, ok := h.series(w, r, r.PathValue("fig"))
 	if !ok {
-		return
-	}
-	series, err := h.seriesFor(r.Context(), e, r.PathValue("fig"))
-	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, errUnknownFigure) {
-			code = http.StatusNotFound
-		}
-		http.Error(w, err.Error(), code)
 		return
 	}
 	want := r.PathValue("series")
@@ -406,50 +296,11 @@ type overlayJSON struct {
 	Budgets []overlayBudgetJSON `json:"budgets"`
 }
 
-// overlayFor returns the (memoized) overlay exhibit for a cached
-// suite, with the same cancel-retry semantics as seriesFor: an exhibit
-// aborted by its requester's disconnection is forgotten so the next
-// request recomputes it.
-func (h *handler) overlayFor(ctx context.Context, e *suiteEntry) (experiments.OverlayResult, error) {
-	for {
-		e.ovMu.Lock()
-		f := e.overlay
-		if f == nil {
-			f = &overlayFuture{done: make(chan struct{})}
-			e.overlay = f
-			e.ovMu.Unlock()
-			f.res, f.err = experiments.Overlay(e.suite.WithContext(ctx), e.cfg.Seed)
-			if f.err != nil && errors.Is(f.err, context.Canceled) {
-				e.ovMu.Lock()
-				e.overlay = nil
-				e.ovMu.Unlock()
-			}
-			close(f.done)
-			return f.res, f.err
-		}
-		e.ovMu.Unlock()
-		select {
-		case <-f.done:
-			if f.err != nil && errors.Is(f.err, context.Canceled) && ctx.Err() == nil {
-				continue // the computing request disconnected; retry as owner
-			}
-			return f.res, f.err
-		case <-ctx.Done():
-			return experiments.OverlayResult{}, ctx.Err()
-		}
-	}
-}
-
 func (h *handler) overlay(w http.ResponseWriter, r *http.Request) {
-	e, ok := h.entryFor(w, r)
+	res, ok := memoized(h, w, r, "overlay", func(s *experiments.Suite) (experiments.OverlayResult, error) {
+		return experiments.Overlay(s, s.Config.Seed)
+	})
 	if !ok {
-		return
-	}
-	res, err := h.overlayFor(r.Context(), e)
-	if err != nil {
-		if r.Context().Err() == nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
 		return
 	}
 	out := overlayJSON{Nodes: res.Nodes, Pairs: res.Pairs, Epochs: res.Epochs}
@@ -481,102 +332,6 @@ func (h *handler) overlay(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-// multipathFor returns the (memoized) path-set exhibit for a cached
-// suite, with the same cancel-retry semantics as seriesFor and
-// overlayFor.
-func (h *handler) multipathFor(ctx context.Context, e *suiteEntry) (experiments.MultipathResult, error) {
-	for {
-		e.mpMu.Lock()
-		f := e.multipath
-		if f == nil {
-			f = &multipathFuture{done: make(chan struct{})}
-			e.multipath = f
-			e.mpMu.Unlock()
-			f.res, f.err = experiments.Multipath(e.suite.WithContext(ctx))
-			if f.err != nil && errors.Is(f.err, context.Canceled) {
-				e.mpMu.Lock()
-				e.multipath = nil
-				e.mpMu.Unlock()
-			}
-			close(f.done)
-			return f.res, f.err
-		}
-		e.mpMu.Unlock()
-		select {
-		case <-f.done:
-			if f.err != nil && errors.Is(f.err, context.Canceled) && ctx.Err() == nil {
-				continue // the computing request disconnected; retry as owner
-			}
-			return f.res, f.err
-		case <-ctx.Done():
-			return experiments.MultipathResult{}, ctx.Err()
-		}
-	}
-}
-
-// packetFor returns the (memoized) packet-level validation for a
-// cached suite, with the same cancel-retry semantics as seriesFor,
-// overlayFor and multipathFor.
-func (h *handler) packetFor(ctx context.Context, e *suiteEntry) (experiments.PacketValidation, error) {
-	for {
-		e.pvMu.Lock()
-		f := e.packet
-		if f == nil {
-			f = &packetFuture{done: make(chan struct{})}
-			e.packet = f
-			e.pvMu.Unlock()
-			f.res, f.err = experiments.ValidatePacketLevel(e.suite.WithContext(ctx))
-			if f.err != nil && errors.Is(f.err, context.Canceled) {
-				e.pvMu.Lock()
-				e.packet = nil
-				e.pvMu.Unlock()
-			}
-			close(f.done)
-			return f.res, f.err
-		}
-		e.pvMu.Unlock()
-		select {
-		case <-f.done:
-			if f.err != nil && errors.Is(f.err, context.Canceled) && ctx.Err() == nil {
-				continue // the computing request disconnected; retry as owner
-			}
-			return f.res, f.err
-		case <-ctx.Done():
-			return experiments.PacketValidation{}, ctx.Err()
-		}
-	}
-}
-
-func (h *handler) packetlevel(w http.ResponseWriter, r *http.Request) {
-	e, ok := h.entryFor(w, r)
-	if !ok {
-		return
-	}
-	res, err := h.packetFor(r.Context(), e)
-	if err != nil {
-		if r.Context().Err() == nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
-	}
-	writeJSON(w, res)
-}
-
-func (h *handler) multipath(w http.ResponseWriter, r *http.Request) {
-	e, ok := h.entryFor(w, r)
-	if !ok {
-		return
-	}
-	res, err := h.multipathFor(r.Context(), e)
-	if err != nil {
-		if r.Context().Err() == nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
-	}
-	writeJSON(w, res)
-}
-
 // suites reports the cache contents: which configurations are resident
 // and whether each is ready or still building.
 func (h *handler) suites(w http.ResponseWriter, _ *http.Request) {
@@ -597,7 +352,7 @@ the requested suite on demand (cached, LRU-bounded).</p>
 <ul>
 <li><a href="/api/table1">Table 1: dataset characteristics</a></li>
 <li><a href="/api/table/2">Table 2: RTT verdicts</a> · <a href="/api/table/3">Table 3: loss verdicts</a></li>
-{{range .Figures}}<li><a href="/api/figure/{{.}}">Figure {{.}}</a></li>
+{{range .Figures}}<li><a href="/api/figure/{{.N}}">Figure {{.N}}</a></li>
 {{end}}<li><a href="/api/overlay">Overlay exhibit: online path selection vs default vs offline optimum</a></li>
 <li><a href="/api/multipath">Multipath exhibit: k-alternate path sets and AS disjointness</a></li>
 <li><a href="/api/packetlevel">Packet-level exhibit: TCP over simulated links vs Mathis vs rounds model</a></li>
@@ -609,11 +364,10 @@ the requested suite on demand (cached, LRU-bounded).</p>
 
 func (h *handler) index(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	figures := []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16"}
 	err := indexTmpl.Execute(w, map[string]any{
 		"Preset":  h.defaults.Preset.String(),
 		"Seed":    h.defaults.Seed,
-		"Figures": figures,
+		"Figures": experiments.Figures,
 	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
