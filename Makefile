@@ -66,11 +66,15 @@ serve-load:
 
 # Short fuzz runs of the parsers that face external input, plus the
 # packet data plane's invariant fuzzer; CI runs the same budgets.
+# FuzzRestore's inputs are KB-sized snapshots, and the default 60 s
+# minimization of each new coverage input would spend the whole budget
+# on one input, so its minimization is capped.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=15s -run '^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzParsePreset -fuzztime=15s -run '^$$' ./internal/experiments
 	$(GO) test -fuzz=FuzzDataPlane -fuzztime=15s -run '^$$' ./internal/packetnet
 	$(GO) test -fuzz=FuzzDecode -fuzztime=15s -run '^$$' ./internal/snapshot
+	$(GO) test -fuzz=FuzzRestore -fuzztime=15s -fuzzminimizetime=50x -run '^$$' ./internal/snapshot
 
 staticcheck:
 	$(GO) run $(STATICCHECK) ./...

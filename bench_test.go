@@ -10,6 +10,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 
@@ -707,7 +708,8 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 
 // BenchmarkSnapshotDecode times the codec half of a warm start:
 // checksum verification and dataset reconstruction, without the
-// substrate regeneration that Restore adds on top.
+// substrate regeneration that Restore adds on top. Throughput is
+// snapshot bytes per second.
 func BenchmarkSnapshotDecode(b *testing.B) {
 	for _, preset := range []experiments.Preset{experiments.Quick, experiments.Full} {
 		b.Run(preset.String(), func(b *testing.B) {
@@ -715,6 +717,8 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_, ds, err := snapshot.Decode(data)
@@ -741,9 +745,43 @@ func BenchmarkServeWarmStart(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s, err := snapshot.Restore(context.Background(), data, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(s.UW3.Paths) == 0 {
+					b.Fatal("empty UW3")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSnapshotLoad times the path a serve worker actually takes
+// on a snapshot hit: read the file from disk, then restore. Against
+// BenchmarkServeWarmStart it shows the cost of the read itself.
+func BenchmarkSnapshotLoad(b *testing.B) {
+	for _, preset := range []experiments.Preset{experiments.Quick, experiments.Full} {
+		b.Run(preset.String(), func(b *testing.B) {
+			dir := b.TempDir()
+			path, err := snapshot.Write(dir, benchSuitePreset(b, preset))
+			if err != nil {
+				b.Fatal(err)
+			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := experiments.Config{Seed: 1, Preset: preset}
+			b.SetBytes(fi.Size())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := snapshot.Load(context.Background(), dir, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -7,6 +7,7 @@ import (
 
 	"pathsel/internal/dataset"
 	"pathsel/internal/geo"
+	"pathsel/internal/topology"
 )
 
 // PrimaryDatasetNames lists the datasets a snapshot must carry to
@@ -27,7 +28,8 @@ func PrimaryDatasetNames() []string {
 // only the expensive, already-deterministic campaign data rides on
 // disk. primary must hold every PrimaryDatasetNames entry; the D2-NA
 // and N2-NA subsets are recomputed from the restored topology exactly
-// as the cold build derives them.
+// as the cold build derives them. A dataset that names a host its
+// regenerated topology lacks is an error.
 func Reassemble(ctx context.Context, cfg Config, primary map[string]*dataset.Dataset) (*Suite, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -79,7 +81,50 @@ func Reassemble(ctx context.Context, cfg Config, primary map[string]*dataset.Dat
 	s.UW4B = primary["UW4-B"]
 	s.D2 = primary["D2"]
 	s.N2 = primary["N2"]
+	for _, ds := range []*dataset.Dataset{s.UW1, s.UW3, s.UW4A, s.UW4B} {
+		if err := checkEndpoints(uwPlane.top, ds); err != nil {
+			return nil, err
+		}
+	}
+	for _, ds := range []*dataset.Dataset{s.D2, s.N2} {
+		if err := checkEndpoints(d2Plane.top, ds); err != nil {
+			return nil, err
+		}
+	}
 	s.D2NA = s.D2.Subset("D2-NA", inRegion(d2Plane.top, s.D2.Hosts, geo.NorthAmerica))
 	s.N2NA = s.N2.Subset("N2-NA", inRegion(d2Plane.top, s.N2.Hosts, geo.NorthAmerica))
 	return s, nil
+}
+
+// checkEndpoints verifies that every host a persisted dataset names —
+// its host list, its path endpoints and its episode entries — exists
+// in the regenerated topology. A snapshot with a valid checksum can
+// still disagree with it: one written before a substrate generation
+// change that missed its snapshot format version bump, or one crafted
+// by hand. Without the check, the first host lookup (inRegion in
+// Reassemble, or any analysis) dereferences nil.
+func checkEndpoints(top *topology.Topology, d *dataset.Dataset) error {
+	known := func(h topology.HostID) bool { return top.Host(h) != nil }
+	for _, h := range d.Hosts {
+		if !known(h) {
+			return fmt.Errorf("experiments: reassemble: dataset %s names host %d, which its topology lacks", d.Name, h)
+		}
+	}
+	unknown := 0
+	for k := range d.Paths {
+		if !known(k.Src) || !known(k.Dst) {
+			unknown++
+		}
+	}
+	for _, ep := range d.Episodes {
+		for k := range ep.RTTMs {
+			if !known(k.Src) || !known(k.Dst) {
+				unknown++
+			}
+		}
+	}
+	if unknown > 0 {
+		return fmt.Errorf("experiments: reassemble: dataset %s has %d paths or episode entries with an endpoint its topology lacks", d.Name, unknown)
+	}
+	return nil
 }

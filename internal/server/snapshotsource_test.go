@@ -138,6 +138,61 @@ func readyCache(t *testing.T, cfg experiments.Config, s *experiments.Suite) *Sui
 	return cache
 }
 
+// TestSnapshotSourceUnknownHostRebuilds: a snapshot with a valid
+// checksum whose datasets name a host the regenerated topology lacks
+// (a substrate change that missed its format version bump) must not
+// crash the worker. The source counts a load error, rebuilds, and
+// replaces the file with one that loads.
+func TestSnapshotSourceUnknownHostRebuilds(t *testing.T) {
+	cfg := experiments.Config{Seed: 1, Preset: experiments.Quick}
+	built, err := experiments.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := snapshot.Encode(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A decoded copy, so the mutation leaves built untouched.
+	_, primary, err := snapshot.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary["D2"].Hosts[0] = 99999
+	dir := t.TempDir()
+	if _, err := snapshot.Write(dir, &experiments.Suite{
+		Config: cfg,
+		UW1:    primary["UW1"], UW3: primary["UW3"], UW4A: primary["UW4-A"], UW4B: primary["UW4-B"],
+		D2: primary["D2"], N2: primary["N2"],
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	var builds atomic.Int64
+	build := func(context.Context, experiments.Config) (*experiments.Suite, error) {
+		builds.Add(1)
+		return built, nil
+	}
+	m := NewMetrics(obs.NewRegistry())
+	source := NewSnapshotSource(dir, build, m, slog.New(slog.NewTextHandler(io.Discard, nil)))
+	s, err := source(context.Background(), cfg)
+	if err != nil || s != built {
+		t.Fatalf("source = (%p, %v), want the rebuilt suite", s, err)
+	}
+	if got := m.snapshotLoadErrors.Value(); got != 1 {
+		t.Errorf("snapshotLoadErrors = %d, want 1", got)
+	}
+	if got := builds.Load(); got != 1 {
+		t.Errorf("ran %d builds, want 1", got)
+	}
+	if got := m.snapshotPersists.Value(); got != 1 {
+		t.Errorf("snapshotPersists = %d, want 1", got)
+	}
+	if _, err := snapshot.Load(context.Background(), dir, cfg); err != nil {
+		t.Errorf("the replaced snapshot does not load: %v", err)
+	}
+}
+
 // TestSnapshotSourceEmptyDirPassthrough checks that an empty -snapshot-dir
 // leaves the build path untouched.
 func TestSnapshotSourceEmptyDirPassthrough(t *testing.T) {

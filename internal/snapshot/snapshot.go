@@ -30,6 +30,15 @@
 // mmap-friendly: every numeric slab is fixed-width and 8-byte aligned.
 // Version skew, a bad magic and a checksum mismatch are distinguished
 // sentinel errors so callers can fall back to a cold rebuild.
+//
+// Decoding runs the payload checksum on a second goroutine alongside a
+// two-pass parse of each section: the first pass checks every count
+// against the bytes that remain and allocates nothing, the second
+// fills one slab per element type. The checksum verdict always wins
+// (a mismatch discards the parse, failed or not), and Restore
+// reassembles a suite only from verified data. Every value and string
+// is copied out of the input, so a caller may reuse the buffer once
+// Decode or Restore returns; Load recycles its read buffers that way.
 package snapshot
 
 import (
@@ -38,9 +47,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"io"
 	"math"
 	"os"
 	"sort"
+	"sync"
 
 	"pathsel/internal/dataset"
 	"pathsel/internal/experiments"
@@ -228,7 +239,9 @@ func Encode(s *experiments.Suite) ([]byte, error) {
 
 // --- decoding ---
 
-// dec is a bounds-checked little-endian reader.
+// dec is a bounds-checked little-endian reader for bytes not yet
+// validated: the section table and each section's first pass. A read
+// past the end records an error instead of panicking.
 type dec struct {
 	b   []byte
 	off int
@@ -254,14 +267,6 @@ func (d *dec) take(n int) []byte {
 	return p
 }
 
-func (d *dec) u8() uint8 {
-	p := d.take(1)
-	if p == nil {
-		return 0
-	}
-	return p[0]
-}
-
 func (d *dec) u32() uint32 {
 	p := d.take(4)
 	if p == nil {
@@ -278,14 +283,11 @@ func (d *dec) u64() uint64 {
 	return binary.LittleEndian.Uint64(p)
 }
 
-func (d *dec) i64() int64   { return int64(d.u64()) }
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
+// pad8 skips to the next 8-byte boundary of the section.
+func (d *dec) pad8() { d.take(pad8(d.off) - d.off) }
 
-func (d *dec) pad8() {
-	for d.off%8 != 0 && d.err == nil {
-		d.u8()
-	}
-}
+// pad8 rounds the offset off up to the next multiple of 8.
+func pad8(off int) int { return (off + 7) &^ 7 }
 
 // sliceCount guards a count field against hostile or corrupt lengths:
 // every element occupies at least minBytes, so a count implying more
@@ -301,73 +303,140 @@ func (d *dec) sliceCount(n uint32, minBytes int) int {
 	return int(n)
 }
 
-// decodeDataset parses one dataset section.
+// cur is the second pass's reader: it tracks no error, because it only
+// reads ranges the first pass has already validated.
+type cur struct {
+	b   []byte
+	off int
+}
+
+// take returns the next n bytes.
+func (c *cur) take(n int) []byte {
+	p := c.b[c.off : c.off+n]
+	c.off += n
+	return p
+}
+
+func (c *cur) u32() uint32 {
+	v := binary.LittleEndian.Uint32(c.b[c.off:])
+	c.off += 4
+	return v
+}
+
+func (c *cur) u64() uint64 {
+	v := binary.LittleEndian.Uint64(c.b[c.off:])
+	c.off += 8
+	return v
+}
+
+func (c *cur) i64() int64   { return int64(c.u64()) }
+func (c *cur) f64() float64 { return math.Float64frombits(c.u64()) }
+func (c *cur) pad8()        { c.off = pad8(c.off) }
+
+// f64 reads a little-endian IEEE-754 bit pattern from the front of p.
+func f64(p []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(p)) }
+
+// decodeDataset parses one dataset section in two passes. The first
+// walks every record header, checks each count against the bytes that
+// remain and sums the counts, allocating nothing. The second allocates
+// one slab per element type and fills it from the ranges the first
+// pass validated; each path gets a capacity-capped window of the slabs,
+// so an append to one path's samples can never overwrite the next
+// path's.
 func decodeDataset(d *dec, name string) *dataset.Dataset {
 	nHosts := d.sliceCount(d.u32(), 8)
 	nPaths := d.sliceCount(d.u32(), 40)
 	nEpisodes := d.sliceCount(d.u32(), 16)
 	d.u32() // reserved
-	hosts := make([]topology.HostID, 0, nHosts)
-	for i := 0; i < nHosts; i++ {
-		hosts = append(hosts, topology.HostID(d.i64()))
-	}
-	paths := make(map[dataset.PairKey]*dataset.PathData, nPaths)
-	for i := 0; i < nPaths; i++ {
-		k := dataset.PairKey{Src: topology.HostID(d.i64()), Dst: topology.HostID(d.i64())}
-		p := &dataset.PathData{Key: k, Measurements: int(d.i64())}
-		nRTT := d.sliceCount(d.u32(), 16)
-		nLoss := d.sliceCount(d.u32(), 9)
-		nTransfers := d.sliceCount(d.u32(), 32)
-		nASPath := d.sliceCount(d.u32(), 8)
-		if nRTT > 0 {
-			p.RTT = make([]dataset.RTTSample, 0, nRTT)
-			for j := 0; j < nRTT; j++ {
-				p.RTT = append(p.RTT, dataset.RTTSample{At: netsim.Time(d.f64()), RTTMs: d.f64()})
-			}
-		}
-		if nLoss > 0 {
-			p.Loss = make([]dataset.LossSample, 0, nLoss)
-			for j := 0; j < nLoss; j++ {
-				p.Loss = append(p.Loss, dataset.LossSample{At: netsim.Time(d.f64()), Lost: d.u8() != 0})
-			}
-		}
+	start := d.off
+	d.take(8 * nHosts)
+	var nRTT, nLoss, nTransfers, nASPath int
+	for i := 0; i < nPaths && d.err == nil; i++ {
+		d.take(24) // src, dst, measurements
+		r := d.sliceCount(d.u32(), 16)
+		l := d.sliceCount(d.u32(), 9)
+		t := d.sliceCount(d.u32(), 32)
+		a := d.sliceCount(d.u32(), 8)
+		d.take(16*r + 9*l)
 		d.pad8()
-		if nTransfers > 0 {
-			p.Transfers = make([]dataset.TransferSample, 0, nTransfers)
-			for j := 0; j < nTransfers; j++ {
-				p.Transfers = append(p.Transfers, dataset.TransferSample{
-					At: netsim.Time(d.f64()), MeanRTTMs: d.f64(), LossRate: d.f64(), Packets: int(d.i64()),
-				})
-			}
-		}
-		if nASPath > 0 {
-			p.ASPath = make([]topology.ASN, 0, nASPath)
-			for j := 0; j < nASPath; j++ {
-				p.ASPath = append(p.ASPath, topology.ASN(d.i64()))
-			}
-		}
-		if d.err != nil {
-			return nil
-		}
-		paths[k] = p
+		d.take(32*t + 8*a)
+		nRTT, nLoss, nTransfers, nASPath = nRTT+r, nLoss+l, nTransfers+t, nASPath+a
 	}
-	var episodes []*dataset.Episode
-	for i := 0; i < nEpisodes; i++ {
-		ep := &dataset.Episode{At: netsim.Time(d.f64())}
+	for i := 0; i < nEpisodes && d.err == nil; i++ {
+		d.take(8) // time
 		n := d.sliceCount(d.u32(), 24)
 		d.u32() // reserved
-		ep.RTTMs = make(map[dataset.PairKey]float64, n)
-		for j := 0; j < n; j++ {
-			k := dataset.PairKey{Src: topology.HostID(d.i64()), Dst: topology.HostID(d.i64())}
-			ep.RTTMs[k] = d.f64()
-		}
-		if d.err != nil {
-			return nil
-		}
-		episodes = append(episodes, ep)
+		d.take(24 * n)
 	}
 	if d.err != nil {
 		return nil
+	}
+
+	c := cur{b: d.b, off: start}
+	hosts := make([]topology.HostID, nHosts)
+	for i := range hosts {
+		hosts[i] = topology.HostID(c.i64())
+	}
+	rtt := make([]dataset.RTTSample, nRTT)
+	loss := make([]dataset.LossSample, nLoss)
+	transfers := make([]dataset.TransferSample, nTransfers)
+	asns := make([]topology.ASN, nASPath)
+	pds := make([]dataset.PathData, nPaths)
+	paths := make(map[dataset.PairKey]*dataset.PathData, nPaths)
+	for i := range pds {
+		p := &pds[i]
+		p.Key = dataset.PairKey{Src: topology.HostID(c.i64()), Dst: topology.HostID(c.i64())}
+		p.Measurements = int(c.i64())
+		r, l, t, a := int(c.u32()), int(c.u32()), int(c.u32()), int(c.u32())
+		if r > 0 {
+			p.RTT, rtt = rtt[:r:r], rtt[r:]
+			rec := c.take(16 * r)
+			for j := range p.RTT {
+				e := rec[16*j : 16*j+16]
+				p.RTT[j] = dataset.RTTSample{At: netsim.Time(f64(e)), RTTMs: f64(e[8:])}
+			}
+		}
+		if l > 0 {
+			p.Loss, loss = loss[:l:l], loss[l:]
+			rec := c.take(9 * l)
+			for j := range p.Loss {
+				e := rec[9*j : 9*j+9]
+				p.Loss[j] = dataset.LossSample{At: netsim.Time(f64(e)), Lost: e[8] != 0}
+			}
+		}
+		c.pad8()
+		if t > 0 {
+			p.Transfers, transfers = transfers[:t:t], transfers[t:]
+			for j := range p.Transfers {
+				p.Transfers[j] = dataset.TransferSample{
+					At: netsim.Time(c.f64()), MeanRTTMs: c.f64(), LossRate: c.f64(), Packets: int(c.i64()),
+				}
+			}
+		}
+		if a > 0 {
+			p.ASPath, asns = asns[:a:a], asns[a:]
+			for j := range p.ASPath {
+				p.ASPath[j] = topology.ASN(c.i64())
+			}
+		}
+		paths[p.Key] = p
+	}
+	var episodes []*dataset.Episode
+	if nEpisodes > 0 {
+		eps := make([]dataset.Episode, nEpisodes)
+		episodes = make([]*dataset.Episode, nEpisodes)
+		for i := range eps {
+			ep := &eps[i]
+			ep.At = netsim.Time(c.f64())
+			n := int(c.u32())
+			c.u32() // reserved
+			ep.RTTMs = make(map[dataset.PairKey]float64, n)
+			for j := 0; j < n; j++ {
+				k := dataset.PairKey{Src: topology.HostID(c.i64()), Dst: topology.HostID(c.i64())}
+				ep.RTTMs[k] = c.f64()
+			}
+			episodes[i] = ep
+		}
 	}
 	// Hosts were written from an already-sorted slice, so constructing
 	// the struct directly preserves the exact order and avoids the
@@ -378,6 +447,11 @@ func decodeDataset(d *dec, name string) *dataset.Dataset {
 // Decode parses a snapshot produced by Encode, returning the suite
 // configuration (seed and preset; concurrency is a runtime knob, not
 // part of suite identity) and the primary datasets keyed by name.
+//
+// The payload checksum is computed on a second goroutine while the
+// sections parse, and Decode joins it before returning: a mismatch
+// discards the parse and reports ErrChecksum, even when the parse
+// itself failed, so no caller ever sees datasets from unverified bytes.
 func Decode(data []byte) (experiments.Config, map[string]*dataset.Dataset, error) {
 	var cfg experiments.Config
 	if len(data) < headerSize {
@@ -386,14 +460,13 @@ func Decode(data []byte) (experiments.Config, map[string]*dataset.Dataset, error
 	if [8]byte(data[:8]) != magic {
 		return cfg, nil, ErrMagic
 	}
-	h := &dec{b: data, off: 8}
-	version := h.u32()
-	preset := int32(h.u32())
-	seed := h.i64()
-	sections := h.u32()
-	h.u32()
-	payloadLen := h.u64()
-	sum := h.u64()
+	le := binary.LittleEndian
+	version := le.Uint32(data[8:])
+	preset := int32(le.Uint32(data[12:]))
+	seed := int64(le.Uint64(data[16:]))
+	sections := le.Uint32(data[24:])
+	payloadLen := le.Uint64(data[32:])
+	sum := le.Uint64(data[40:])
 	if version != Version {
 		return cfg, nil, fmt.Errorf("%w: file has version %d, this binary reads %d", ErrVersion, version, Version)
 	}
@@ -401,14 +474,24 @@ func Decode(data []byte) (experiments.Config, map[string]*dataset.Dataset, error
 		return cfg, nil, fmt.Errorf("%w: payload is %d bytes, header says %d", ErrChecksum, len(data)-headerSize, payloadLen)
 	}
 	payload := data[headerSize:]
-	if got := crc64.Checksum(payload, crcTable); got != sum {
+	sumc := make(chan uint64, 1)
+	go func() { sumc <- crc64.Checksum(payload, crcTable) }()
+	out, err := decodePayload(payload, sections)
+	if got := <-sumc; got != sum {
 		return cfg, nil, fmt.Errorf("%w: computed %016x, header says %016x", ErrChecksum, got, sum)
+	}
+	if err != nil {
+		return cfg, nil, err
 	}
 	cfg.Seed = seed
 	cfg.Preset = experiments.Preset(preset)
+	return cfg, out, nil
+}
 
+// decodePayload parses the section table and every section it lists.
+func decodePayload(payload []byte, sections uint32) (map[string]*dataset.Dataset, error) {
 	if int(sections) > len(payload)/32 {
-		return cfg, nil, fmt.Errorf("snapshot: implausible section count %d", sections)
+		return nil, fmt.Errorf("snapshot: implausible section count %d", sections)
 	}
 	out := make(map[string]*dataset.Dataset, sections)
 	t := &dec{b: payload}
@@ -417,20 +500,20 @@ func Decode(data []byte) (experiments.Config, map[string]*dataset.Dataset, error
 		off := t.u64()
 		length := t.u64()
 		if t.err != nil {
-			return cfg, nil, t.err
+			return nil, t.err
 		}
 		name := string(trimZero(nameBytes))
 		if off > uint64(len(payload)) || off+length > uint64(len(payload)) || off+length < off {
-			return cfg, nil, fmt.Errorf("snapshot: section %q out of bounds (off %d len %d of %d)", name, off, length, len(payload))
+			return nil, fmt.Errorf("snapshot: section %q out of bounds (off %d len %d of %d)", name, off, length, len(payload))
 		}
 		sd := &dec{b: payload[off : off+length]}
 		ds := decodeDataset(sd, name)
 		if sd.err != nil {
-			return cfg, nil, fmt.Errorf("section %q: %w", name, sd.err)
+			return nil, fmt.Errorf("section %q: %w", name, sd.err)
 		}
 		out[name] = ds
 	}
-	return cfg, out, nil
+	return out, nil
 }
 
 // trimZero strips the zero padding of a fixed-width name field.
@@ -447,6 +530,8 @@ func trimZero(b []byte) []byte {
 // from the file, substrate regenerated from the embedded configuration.
 // concurrency is stamped into the restored suite's config (it is a
 // runtime knob, deliberately not part of the snapshot identity).
+// Reassembly starts only after Decode has verified the checksum, so no
+// suite is ever assembled from a corrupt payload.
 func Restore(ctx context.Context, data []byte, concurrency int) (*experiments.Suite, error) {
 	cfg, primary, err := Decode(data)
 	if err != nil {
@@ -475,10 +560,18 @@ func Write(dir string, s *experiments.Suite) (string, error) {
 	return path, nil
 }
 
+// readBufs recycles Load's file buffers. A warm start reads a whole
+// snapshot (megabytes at the quick preset) only to copy every value
+// out of it, so the buffer is dead once Restore returns and the next
+// load can reuse it instead of allocating a fresh one.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // Load reads the snapshot for cfg from dir and restores the suite.
 // os.IsNotExist(err) distinguishes a cache miss from a corrupt file.
 func Load(ctx context.Context, dir string, cfg experiments.Config) (*experiments.Suite, error) {
-	data, err := os.ReadFile(dir + string(os.PathSeparator) + FileName(cfg))
+	buf := readBufs.Get().(*[]byte)
+	defer readBufs.Put(buf)
+	data, err := readFile(dir+string(os.PathSeparator)+FileName(cfg), buf)
 	if err != nil {
 		return nil, err
 	}
@@ -491,4 +584,27 @@ func Load(ctx context.Context, dir string, cfg experiments.Config) (*experiments
 			s.Config.Seed, s.Config.Preset, cfg.Seed, cfg.Preset)
 	}
 	return s, nil
+}
+
+// readFile reads the file at path into *buf, growing it if it is too
+// small, and returns the filled prefix.
+func readFile(path string, buf *[]byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	n := int(fi.Size())
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	data := (*buf)[:n]
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, fmt.Errorf("snapshot: read %s: %w", path, err)
+	}
+	return data, nil
 }

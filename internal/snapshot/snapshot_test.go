@@ -5,17 +5,29 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"hash/crc64"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
+	"pathsel/internal/dataset"
 	"pathsel/internal/experiments"
+	"pathsel/internal/topology"
 )
 
 // quickSuite builds (once) the quick-preset suite shared by the tests.
 var quickSuite = sync.OnceValues(func() (*experiments.Suite, error) {
 	return experiments.Build(experiments.Config{Seed: 1, Preset: experiments.Quick})
+})
+
+// quickSuite2 is a second quick suite whose snapshot differs from
+// quickSuite's in every section, for the pooled-buffer tests.
+var quickSuite2 = sync.OnceValues(func() (*experiments.Suite, error) {
+	return experiments.Build(experiments.Config{Seed: 2, Preset: experiments.Quick})
 })
 
 func buildQuick(t *testing.T) *experiments.Suite {
@@ -260,6 +272,212 @@ func TestReassembleMissingDataset(t *testing.T) {
 	}
 }
 
+// primaryOf decodes an independently owned copy of s's primary
+// datasets, so a test can mutate them without touching the shared
+// quick suite.
+func primaryOf(t testing.TB, s *experiments.Suite) map[string]*dataset.Dataset {
+	t.Helper()
+	data, err := Encode(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, primary, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return primary
+}
+
+// encodePrimary encodes primary datasets as a snapshot of a suite with
+// configuration cfg.
+func encodePrimary(t testing.TB, cfg experiments.Config, primary map[string]*dataset.Dataset) []byte {
+	t.Helper()
+	data, err := Encode(&experiments.Suite{
+		Config: cfg,
+		UW1:    primary["UW1"], UW3: primary["UW3"], UW4A: primary["UW4-A"], UW4B: primary["UW4-B"],
+		D2: primary["D2"], N2: primary["N2"],
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// restamp rewrites the header's payload length and checksum to match
+// the payload that follows it.
+func restamp(data []byte) {
+	binary.LittleEndian.PutUint64(data[32:], uint64(len(data)-headerSize))
+	binary.LittleEndian.PutUint64(data[40:], crc64.Checksum(data[headerSize:], crcTable))
+}
+
+// TestRestoreRejectsUnknownHosts: a snapshot whose checksum is valid
+// but which names hosts outside the regenerated topology (written
+// before a substrate change that missed its Version bump) is an error
+// from Restore, not a nil dereference in Reassemble.
+func TestRestoreRejectsUnknownHosts(t *testing.T) {
+	const stranger = topology.HostID(99999)
+	cases := map[string]func(primary map[string]*dataset.Dataset){
+		"host list": func(primary map[string]*dataset.Dataset) { primary["D2"].Hosts[0] = stranger },
+		"path endpoint": func(primary map[string]*dataset.Dataset) {
+			uw3 := primary["UW3"]
+			for k, p := range uw3.Paths {
+				delete(uw3.Paths, k) // any path will do
+				p.Key.Dst = stranger
+				uw3.Paths[p.Key] = p
+				break
+			}
+		},
+		"episode entry": func(primary map[string]*dataset.Dataset) {
+			ep := primary["UW4-A"].Episodes[0]
+			ep.RTTMs[dataset.PairKey{Src: stranger, Dst: primary["UW4-A"].Hosts[0]}] = 1
+		},
+	}
+	s := buildQuick(t)
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			primary := primaryOf(t, s)
+			mutate(primary)
+			data := encodePrimary(t, s.Config, primary)
+			got, err := Restore(context.Background(), data, 1)
+			if err == nil || got != nil {
+				t.Fatalf("Restore = (%v, %v), want an error", got, err)
+			}
+			if errors.Is(err, ErrChecksum) {
+				t.Fatalf("Restore error %v is a checksum failure; the checksum is valid", err)
+			}
+		})
+	}
+}
+
+// TestChecksumPrecedence: when a corrupt payload also fails to parse,
+// the checksum verdict wins, so callers see ErrChecksum rather than a
+// parse error about bytes that were never trustworthy.
+func TestChecksumPrecedence(t *testing.T) {
+	data, err := Encode(buildQuick(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), data...)
+	// The first section's path count, an implausible value.
+	section := headerSize + int(binary.LittleEndian.Uint64(bad[headerSize+16:]))
+	binary.LittleEndian.PutUint32(bad[section+4:], math.MaxUint32)
+	if _, _, err := Decode(bad); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("corrupt count gave %v, want ErrChecksum", err)
+	}
+	// With the checksum re-stamped the same bytes fail the parse, so
+	// the case above really had two failures to choose from.
+	restamp(bad)
+	if _, _, err := Decode(bad); err == nil || errors.Is(err, ErrChecksum) {
+		t.Fatalf("re-stamped corrupt count gave %v, want a parse error", err)
+	}
+}
+
+// TestSlabIsolation: restored paths share one slab per sample type,
+// but each path's window is capacity-capped, so appending to one
+// path's samples reallocates instead of overwriting its neighbour's.
+func TestSlabIsolation(t *testing.T) {
+	primary := primaryOf(t, buildQuick(t))
+	for _, d := range primary {
+		for _, p := range d.Paths {
+			if cap(p.RTT) != len(p.RTT) || cap(p.Loss) != len(p.Loss) ||
+				cap(p.Transfers) != len(p.Transfers) || cap(p.ASPath) != len(p.ASPath) {
+				t.Fatalf("%s %v: a sample slice has spare capacity", d.Name, p.Key)
+			}
+		}
+	}
+	uw3 := primary["UW3"]
+	keys := uw3.PairKeys() // encoding order, which is slab order
+	for i := 0; i+1 < len(keys); i++ {
+		p, next := uw3.Paths[keys[i]], uw3.Paths[keys[i+1]]
+		if len(p.RTT) == 0 || len(next.RTT) == 0 {
+			continue
+		}
+		want := append([]dataset.RTTSample(nil), next.RTT...)
+		p.RTT = append(p.RTT, dataset.RTTSample{At: -1, RTTMs: -1})
+		if !slices.Equal(next.RTT, want) {
+			t.Fatalf("appending to %v's RTT changed %v's samples", keys[i], keys[i+1])
+		}
+		return
+	}
+	t.Fatal("no two adjacent UW3 paths with RTT samples")
+}
+
+// writeTwo persists the two quick suites' snapshots in a fresh
+// directory and returns it with each file's bytes.
+func writeTwo(t *testing.T) (dir string, suites []*experiments.Suite, files [][]byte) {
+	t.Helper()
+	s2, err := quickSuite2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir = t.TempDir()
+	suites = []*experiments.Suite{buildQuick(t), s2}
+	for _, s := range suites {
+		path, err := Write(dir, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, b)
+	}
+	return dir, suites, files
+}
+
+// TestLoadPooledBufferAliasing: Load reuses its read buffer, so a
+// suite restored from it must hold no reference into it. Loading a
+// second snapshot over the same buffer leaves the first suite intact.
+func TestLoadPooledBufferAliasing(t *testing.T) {
+	dir, suites, files := writeTwo(t)
+	first, err := Load(context.Background(), dir, suites[0].Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(context.Background(), dir, suites[1].Config); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Encode(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, files[0]) {
+		t.Fatal("seed 1's suite changed after seed 2 was loaded through the pooled buffer")
+	}
+}
+
+// TestConcurrentLoad runs interleaved loads of two snapshots from
+// several goroutines (meaningful under -race): every suite re-encodes
+// to exactly the file it came from.
+func TestConcurrentLoad(t *testing.T) {
+	dir, suites, files := writeTwo(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				which := (g + i) % 2
+				s, err := Load(context.Background(), dir, suites[which].Config)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				b, err := Encode(s)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(b, files[which]) {
+					t.Errorf("goroutine %d load %d: seed %d re-encodes differently", g, i, suites[which].Config.Seed)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // FuzzDecode drives the decoder with arbitrary bytes: it must reject or
 // accept but never panic or over-allocate.
 func FuzzDecode(f *testing.F) {
@@ -272,6 +490,70 @@ func FuzzDecode(f *testing.F) {
 			// Accepted input must at least carry a coherent config.
 			_ = cfg
 			_ = ds
+		}
+	})
+}
+
+// smallSuite cuts s down to a fuzzing seed: three paths per dataset,
+// four samples per series and two episodes, a snapshot of a few KB
+// that still exercises every record type.
+func smallSuite(s *experiments.Suite) *experiments.Suite {
+	cut := func(d *dataset.Dataset) *dataset.Dataset {
+		out := dataset.New(d.Name, d.Hosts)
+		keys := d.PairKeys()
+		for _, k := range keys[:min(3, len(keys))] {
+			p := *d.Paths[k]
+			p.RTT = p.RTT[:min(4, len(p.RTT))]
+			p.Loss = p.Loss[:min(4, len(p.Loss))]
+			p.Transfers = p.Transfers[:min(4, len(p.Transfers))]
+			out.Paths[k] = &p
+		}
+		for _, ep := range d.Episodes[:min(2, len(d.Episodes))] {
+			kept := &dataset.Episode{At: ep.At, RTTMs: map[dataset.PairKey]float64{}}
+			for k, v := range ep.RTTMs {
+				if out.Paths[k] != nil {
+					kept.RTTMs[k] = v
+				}
+			}
+			out.Episodes = append(out.Episodes, kept)
+		}
+		return out
+	}
+	return &experiments.Suite{
+		Config: s.Config,
+		UW1:    cut(s.UW1), UW3: cut(s.UW3), UW4A: cut(s.UW4A), UW4B: cut(s.UW4B),
+		D2: cut(s.D2), N2: cut(s.N2),
+	}
+}
+
+// FuzzRestore drives the section parser and Reassemble with payloads
+// that pass the checksum: it fuzzes the payload of a small quick
+// snapshot and re-stamps the header's length and CRC over each input,
+// which FuzzDecode's raw bytes essentially never match. Restore must
+// return a suite or an error, never panic.
+func FuzzRestore(f *testing.F) {
+	s, err := quickSuite()
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed, err := Encode(smallSuite(s))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := Restore(context.Background(), seed, 1); err != nil {
+		f.Fatalf("the seed snapshot (%d bytes) does not restore: %v", len(seed), err)
+	}
+	header := seed[:headerSize:headerSize]
+	f.Add(seed[headerSize:])
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		data := append(append([]byte(nil), header...), payload...)
+		restamp(data)
+		got, err := Restore(context.Background(), data, 1)
+		if err != nil {
+			return
+		}
+		if _, err := Encode(got); err != nil {
+			t.Fatalf("restored suite does not re-encode: %v", err)
 		}
 	})
 }
