@@ -19,12 +19,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The repo's own analyzer suite, nine checkers over one shared
+# The repo's own analyzer suite, eight checkers over one shared
 # type-checked load: determinism (detrand, and detflow through the
 # call graph), cancellation (ctxflow, ctxleak), hot-path allocation
-# (hotalloc), deprecated-API migration (deprecated, with -fix),
-# metrics (obsmetric), map iteration (maporder) and float equality
-# (floateq). See internal/analysis and DESIGN.md §12.
+# (hotalloc), metrics (obsmetric), map iteration (maporder) and float
+# equality (floateq). See internal/analysis and DESIGN.md §12.
 lint:
 	$(GO) run ./cmd/repolint ./...
 

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"pathsel/internal/core"
-	"pathsel/internal/dataset"
 	"pathsel/internal/experiments"
 	"pathsel/internal/forward"
 	"pathsel/internal/measure"
@@ -108,10 +107,11 @@ func BenchmarkBestAlternatesPreset(b *testing.B) {
 			b.ResetTimer()
 			var pairs int
 			for i := 0; i < b.N; i++ {
-				results, err := a.BestAlternates(core.MetricRTT, 0)
+				rs, err := a.Query(core.QuerySpec{Metric: core.MetricRTT})
 				if err != nil {
 					b.Fatal(err)
 				}
+				results := rs.PairResults()
 				if len(results) == 0 {
 					b.Fatal("no results")
 				}
@@ -123,10 +123,9 @@ func BenchmarkBestAlternatesPreset(b *testing.B) {
 }
 
 // BenchmarkQueryK times the unified Query API at increasing path-set
-// sizes on the quick-preset UW3 dataset. k=1 routes through the legacy
-// single-alternate engine (the byte-identical fast path); k>1 pays the
-// Yen spur searches, so the curve shows the marginal cost per extra
-// alternate.
+// sizes on the quick-preset UW3 dataset. k=1 routes through the
+// single-alternate batch engine; k>1 pays the Yen spur searches, so
+// the curve shows the marginal cost per extra alternate.
 func BenchmarkQueryK(b *testing.B) {
 	s := benchSuite(b)
 	for _, k := range []int{1, 2, 4, 8} {
@@ -367,7 +366,7 @@ func BenchmarkAblationLossComposition(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			a := core.NewAnalyzer(s.N2)
 			for i := 0; i < b.N; i++ {
-				if _, err := a.BestBandwidthAlternates(model, mode); err != nil {
+				if _, err := a.Query(core.QuerySpec{Bandwidth: &core.BandwidthQuery{Model: model, Mode: mode}}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -387,10 +386,11 @@ func BenchmarkAblationHopLimit(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			a := core.NewAnalyzer(s.UW3)
 			for i := 0; i < b.N; i++ {
-				results, err := a.BestAlternates(core.MetricRTT, bc.maxVia)
+				rs, err := a.Query(core.QuerySpec{Metric: core.MetricRTT, MaxVia: bc.maxVia})
 				if err != nil {
 					b.Fatal(err)
 				}
+				results := rs.PairResults()
 				if len(results) == 0 {
 					b.Fatal("no results")
 				}
@@ -406,7 +406,7 @@ func BenchmarkAblationMedian(b *testing.B) {
 	b.Run("mean", func(b *testing.B) {
 		a := core.NewAnalyzer(s.D2NA)
 		for i := 0; i < b.N; i++ {
-			if _, err := a.BestAlternates(core.MetricRTT, 1); err != nil {
+			if _, err := a.Query(core.QuerySpec{Metric: core.MetricRTT, MaxVia: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -521,13 +521,13 @@ func BenchmarkDatasetAggregation(b *testing.B) {
 func BenchmarkDatasetSaveLoad(b *testing.B) {
 	s := benchSuite(b)
 	dir := b.TempDir()
-	path := dir + "/uw4b.gob.gz"
+	path := dir + "/uw4b.snap"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.UW4B.Save(path); err != nil {
+		if err := snapshot.WriteDataset(path, s.UW4B); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := dataset.Load(path); err != nil {
+		if _, err := snapshot.ReadDataset(path); err != nil {
 			b.Fatal(err)
 		}
 	}

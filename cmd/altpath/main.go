@@ -5,10 +5,10 @@
 //
 // Usage:
 //
-//	altpath [-metric rtt|loss|prop|bw] [-maxvia N] [-k N] [-workers N] [-plot] [-episodes] dataset.gob.gz
+//	altpath [-metric rtt|loss|prop|bw] [-maxvia N] [-k N] [-workers N] [-plot] [-episodes] dataset.snap
 //	altpath -suite UW3 [-preset quick|full|scale] [-seed N] [-metric ...]
 //
-// The first form loads a dataset saved by pathsim; the second builds
+// The first form loads a dataset file saved by pathsim; the second builds
 // the named Table 1 dataset (UW1, UW3, UW4-A, UW4-B, D2, D2-NA, N2,
 // N2-NA) on the fly through the experiments suite, so any paper dataset
 // can be analyzed under any seed without an intermediate file. The bw
@@ -28,6 +28,7 @@ import (
 	"pathsel/internal/experiments"
 	"pathsel/internal/pathset"
 	"pathsel/internal/report"
+	"pathsel/internal/snapshot"
 	"pathsel/internal/stats"
 	"pathsel/internal/tcpmodel"
 )
@@ -44,7 +45,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "suite seed for -suite")
 	flag.Parse()
 	if (*suiteName == "") == (flag.NArg() != 1) {
-		fmt.Fprintln(os.Stderr, "usage: altpath [-metric rtt|loss|prop|bw] [-maxvia N] [-workers N] [-plot] [-episodes] (dataset.gob.gz | -suite NAME [-preset quick|full|scale] [-seed N])")
+		fmt.Fprintln(os.Stderr, "usage: altpath [-metric rtt|loss|prop|bw] [-maxvia N] [-k N] [-workers N] [-plot] [-episodes] (dataset.snap | -suite NAME [-preset quick|full|scale] [-seed N])")
 		os.Exit(2)
 	}
 	ds, err := loadDataset(*suiteName, *preset, *seed, *workers, flag.Arg(0))
@@ -61,7 +62,7 @@ func main() {
 // suite dataset built on demand.
 func loadDataset(suiteName, preset string, seed int64, workers int, path string) (*dataset.Dataset, error) {
 	if suiteName == "" {
-		return dataset.Load(path)
+		return snapshot.ReadDataset(path)
 	}
 	cfg := experiments.Config{Seed: seed, Concurrency: workers}
 	var err error

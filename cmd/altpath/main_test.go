@@ -1,11 +1,16 @@
 package main
 
 import (
+	"encoding/hex"
+	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"pathsel/internal/dataset"
+	"pathsel/internal/experiments"
 	"pathsel/internal/netsim"
+	"pathsel/internal/snapshot"
 	"pathsel/internal/topology"
 )
 
@@ -22,8 +27,8 @@ func writeTestDataset(t *testing.T) string {
 	add(0, 1, 100, 40)
 	add(0, 2, 20, 40)
 	add(2, 1, 20, 40)
-	path := filepath.Join(t.TempDir(), "ds.gob.gz")
-	if err := ds.Save(path); err != nil {
+	path := filepath.Join(t.TempDir(), "ds.snap")
+	if err := snapshot.WriteDataset(path, ds); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -71,17 +76,54 @@ func TestRunErrors(t *testing.T) {
 	if err := runFile(path, "bogus", 0, 0, false, false); err == nil {
 		t.Error("unknown metric accepted")
 	}
-	if err := runFile(filepath.Join(t.TempDir(), "missing.gob.gz"), "rtt", 0, 0, false, false); err == nil {
+	if err := runFile(filepath.Join(t.TempDir(), "missing.snap"), "rtt", 0, 0, false, false); err == nil {
 		t.Error("missing file accepted")
 	}
 	// A dataset with no comparable pairs must error cleanly.
 	empty := dataset.New("empty", []topology.HostID{0, 1})
-	p := filepath.Join(t.TempDir(), "empty.gob.gz")
-	if err := empty.Save(p); err != nil {
+	p := filepath.Join(t.TempDir(), "empty.snap")
+	if err := snapshot.WriteDataset(p, empty); err != nil {
 		t.Fatal(err)
 	}
 	if err := runFile(p, "rtt", 0, 0, false, false); err == nil {
 		t.Error("empty dataset accepted")
+	}
+	// Files that are not one-dataset snapshots are load errors, never
+	// panics.
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.New("six", []topology.HostID{0, 1})
+	suite, err := snapshot.Encode(&experiments.Suite{UW1: ds, UW3: ds, UW4A: ds, UW4B: ds, D2: ds, N2: ds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first 64 bytes of a dataset file written by the retired
+	// gzip-gob format.
+	legacy, err := hex.DecodeString("1f8b08000000000000ff6c92496f13411085dfeb9938368a22b11c904020368110" +
+		"e484e008968c040447963d37cb8796d35984edb1a69b834f0408214008216c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		data []byte
+		want error // nil: any error
+	}{
+		{"suite.snap", suite, nil},
+		{"truncated.snap", valid[:len(valid)/2], snapshot.ErrChecksum},
+		{"legacy.gob.gz", legacy, snapshot.ErrMagic},
+	}
+	for _, c := range cases {
+		p := filepath.Join(t.TempDir(), c.name)
+		if err := os.WriteFile(p, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := runFile(p, "rtt", 0, 0, false, false)
+		if err == nil || (c.want != nil && !errors.Is(err, c.want)) {
+			t.Errorf("%s: got %v, want an error (%v)", c.name, err, c.want)
+		}
 	}
 }
 
@@ -99,8 +141,8 @@ func TestRunBandwidthAndEpisodes(t *testing.T) {
 	ds.AddEpisode(&dataset.Episode{At: 0, RTTMs: map[dataset.PairKey]float64{
 		{Src: 0, Dst: 1}: 100, {Src: 0, Dst: 2}: 20, {Src: 2, Dst: 1}: 20,
 	}})
-	p := filepath.Join(t.TempDir(), "bw.gob.gz")
-	if err := ds.Save(p); err != nil {
+	p := filepath.Join(t.TempDir(), "bw.snap")
+	if err := snapshot.WriteDataset(p, ds); err != nil {
 		t.Fatal(err)
 	}
 	if err := runFile(p, "bw", 0, 0, false, false); err != nil {
@@ -112,8 +154,8 @@ func TestRunBandwidthAndEpisodes(t *testing.T) {
 	// A dataset without transfers fails the bw metric cleanly.
 	empty := dataset.New("no-transfers", []topology.HostID{0, 1})
 	empty.RecordEcho(dataset.PairKey{Src: 0, Dst: 1}, 0, []float64{1}, []bool{false}, nil, 1)
-	p2 := filepath.Join(t.TempDir(), "nt.gob.gz")
-	if err := empty.Save(p2); err != nil {
+	p2 := filepath.Join(t.TempDir(), "nt.snap")
+	if err := snapshot.WriteDataset(p2, empty); err != nil {
 		t.Fatal(err)
 	}
 	if err := runFile(p2, "bw", 0, 0, false, false); err == nil {

@@ -1,12 +1,13 @@
 // Command pathsim generates a synthetic Internet and runs a measurement
-// campaign over it, saving the resulting dataset for later analysis with
-// the altpath tool.
+// campaign over it, saving the resulting dataset as a one-section
+// snapshot file for later analysis with the altpath tool.
 //
 // Usage:
 //
 //	pathsim [-era 1995|1999] [-region na|world] [-hosts N] [-seed N]
 //	        [-days D] [-mean SECONDS] [-scheduler pairs|perserver|episodes]
-//	        [-method traceroute|transfer] -o dataset.gob.gz
+//	        [-method traceroute|transfer] [-minmeas N] [-trace FILE]
+//	        -o dataset.snap
 package main
 
 import (
@@ -23,6 +24,7 @@ import (
 	"pathsel/internal/measure"
 	"pathsel/internal/netsim"
 	"pathsel/internal/probe"
+	"pathsel/internal/snapshot"
 	"pathsel/internal/topology"
 	"pathsel/internal/trace"
 )
@@ -38,7 +40,7 @@ func main() {
 	method := flag.String("method", "traceroute", "instrument: traceroute or transfer")
 	minMeas := flag.Int("minmeas", dataset.MinMeasurementsPerPath,
 		"drop paths with fewer measurements (0 disables; the paper uses 30)")
-	out := flag.String("o", "dataset.gob.gz", "output dataset file")
+	out := flag.String("o", "dataset.snap", "output dataset file")
 	traceFile := flag.String("trace", "", "also write textual traceroute records to this file")
 	flag.Parse()
 
@@ -94,7 +96,9 @@ func run(eraStr, regionStr string, hosts int, seed int64, days, mean float64,
 	prb := probe.New(top, fwd, net, prbCfg)
 
 	spec := measure.Spec{
-		Name:            fmt.Sprintf("pathsim-%s-%s", eraStr, regionStr),
+		// The name heads altpath's report and must fit a snapshot
+		// section name, 16 bytes.
+		Name:            fmt.Sprintf("sim-%s-%s", eraStr, regionStr),
 		MeanIntervalSec: mean,
 		DurationSec:     days * 86400,
 		RateLimit:       measure.FilterHosts,
@@ -125,17 +129,20 @@ func run(eraStr, regionStr string, hosts int, seed int64, days, mean float64,
 		return fmt.Errorf("unknown method %q", methodStr)
 	}
 
+	var (
+		tf       *os.File
+		tw       *bufio.Writer
+		traceErr error // the first trace write error
+	)
 	if traceFile != "" {
-		f, err := os.Create(traceFile)
-		if err != nil {
+		if tf, err = os.Create(traceFile); err != nil {
 			return err
 		}
-		defer f.Close()
-		w := bufio.NewWriter(f)
-		defer w.Flush()
+		defer tf.Close() // on error paths; the success path checks Close
+		tw = bufio.NewWriter(tf)
 		spec.Observer = func(res probe.Result) {
-			if err := trace.Write(w, top, net, res); err != nil {
-				fmt.Fprintln(os.Stderr, "pathsim: trace write:", err)
+			if traceErr == nil {
+				traceErr = trace.Write(tw, top, net, res)
 			}
 		}
 	}
@@ -144,6 +151,17 @@ func run(eraStr, regionStr string, hosts int, seed int64, days, mean float64,
 	ds, err := measure.Run(top, prb, spec)
 	if err != nil {
 		return err
+	}
+	if tw != nil {
+		if traceErr == nil {
+			traceErr = tw.Flush()
+		}
+		if err := tf.Close(); traceErr == nil {
+			traceErr = err
+		}
+		if traceErr != nil {
+			return fmt.Errorf("trace %s: %w", traceFile, traceErr)
+		}
 	}
 	c := ds.Characteristics()
 	fmt.Printf("  %d hosts, %d measurements, %.0f%% of paths covered\n",
@@ -155,7 +173,7 @@ func run(eraStr, regionStr string, hosts int, seed int64, days, mean float64,
 			"  lengthen -days, shrink -mean, or lower -minmeas\n", spec.MinMeasurements, perPair)
 	}
 
-	if err := ds.Save(out); err != nil {
+	if err := snapshot.WriteDataset(out, ds); err != nil {
 		return err
 	}
 	fmt.Println("saved", out)

@@ -1,24 +1,49 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"pathsel/internal/dataset"
+	"pathsel/internal/snapshot"
 	"pathsel/internal/trace"
 )
 
+// readDataset reads the dataset file run saved at path and checks that
+// it round-trips: writing the loaded dataset back yields the same bytes.
+func readDataset(t *testing.T, path string) *dataset.Dataset {
+	t.Helper()
+	ds, err := snapshot.ReadDataset(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := path + ".again"
+	if err := snapshot.WriteDataset(again, ds); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s does not round-trip: re-encoded %d bytes differ from the %d saved", path, len(got), len(want))
+	}
+	return ds
+}
+
 func TestRunSavesDataset(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "ds.gob.gz")
+	out := filepath.Join(t.TempDir(), "ds.snap")
 	err := run("1999", "na", 8, 1, 1.0, 60, "pairs", "traceroute", 10, out, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := dataset.Load(out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := readDataset(t, out)
 	if len(ds.Paths) == 0 {
 		t.Error("saved dataset has no paths")
 	}
@@ -28,14 +53,16 @@ func TestRunSavesDataset(t *testing.T) {
 	}
 }
 
+// TestRunTransfer also covers the longest era and region names: the
+// dataset name must still fit a snapshot section name.
 func TestRunTransfer(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "n2.gob.gz")
+	out := filepath.Join(t.TempDir(), "n2.snap")
 	if err := run("1995", "world", 8, 2, 1.0, 120, "pairs", "transfer", 0, out, ""); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := dataset.Load(out)
-	if err != nil {
-		t.Fatal(err)
+	ds := readDataset(t, out)
+	if ds.Name != "sim-1995-world" {
+		t.Errorf("dataset name %q, want sim-1995-world", ds.Name)
 	}
 	found := false
 	for _, k := range ds.PairKeys() {
@@ -49,21 +76,18 @@ func TestRunTransfer(t *testing.T) {
 }
 
 func TestRunEpisodes(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "ep.gob.gz")
+	out := filepath.Join(t.TempDir(), "ep.snap")
 	if err := run("1999", "na", 6, 3, 0.5, 7200, "episodes", "traceroute", 0, out, ""); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := dataset.Load(out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := readDataset(t, out)
 	if len(ds.Episodes) == 0 {
 		t.Error("episode campaign recorded no episodes")
 	}
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "x.gob.gz")
+	out := filepath.Join(t.TempDir(), "x.snap")
 	cases := []struct {
 		era, region, sched, method string
 	}{
@@ -81,7 +105,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 
 func TestRunWithTraceFile(t *testing.T) {
 	dir := t.TempDir()
-	out := filepath.Join(dir, "ds.gob.gz")
+	out := filepath.Join(dir, "ds.snap")
 	tr := filepath.Join(dir, "traces.txt")
 	if err := run("1999", "na", 6, 4, 0.5, 120, "pairs", "traceroute", 0, out, tr); err != nil {
 		t.Fatal(err)
@@ -102,5 +126,17 @@ func TestRunWithTraceFile(t *testing.T) {
 		if len(r.Hops) < 2 || len(r.Samples) == 0 {
 			t.Fatalf("thin record %+v", r)
 		}
+	}
+}
+
+// TestRunTraceWriteError: a trace file that cannot be written fails the
+// run instead of leaving a truncated trace behind a zero exit status.
+func TestRunTraceWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	out := filepath.Join(t.TempDir(), "ds.snap")
+	if err := run("1999", "na", 6, 4, 0.5, 120, "pairs", "traceroute", 0, out, "/dev/full"); err == nil {
+		t.Fatal("run tracing to a full device returned nil")
 	}
 }

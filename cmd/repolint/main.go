@@ -5,19 +5,16 @@
 //
 // Usage:
 //
-//	repolint [-only names] [-list] [-fix] [-json] [packages...]
+//	repolint [-only names] [-list] [-json] [packages...]
 //
 // With no packages, ./... is checked. All requested packages are
 // loaded and type-checked once into a single shared program, so the
-// interprocedural analyzers (detflow, ctxleak, deprecated) see the
+// interprocedural analyzers (detflow, ctxleak, hotalloc) see the
 // whole call graph and the per-analyzer cost is one AST walk, not one
 // load.
 //
 // -json emits a machine-readable report on stdout instead of the
-// line-oriented findings. -fix applies every suggested fix in place
-// (e.g. rewriting deprecated BestAlternates calls to the Query form)
-// and reports what it rewrote; findings without fixes still count
-// toward the exit status.
+// line-oriented findings.
 //
 // Exit status is 1 if any analyzer reported a finding, 2 on usage or
 // load errors. Individual findings are suppressed in source with
@@ -39,7 +36,6 @@ import (
 func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	fix := flag.Bool("fix", false, "apply suggested fixes to the source in place")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON report on stdout")
 	flag.Parse()
 
@@ -88,26 +84,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "repolint: %v\n", err)
 		os.Exit(2)
-	}
-
-	if *fix {
-		fixedFiles, err := lint.WriteFixes(prog.Fset, diags)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "repolint: applying fixes: %v\n", err)
-			os.Exit(2)
-		}
-		for _, name := range fixedFiles {
-			fmt.Printf("repolint: fixed %s\n", name)
-		}
-		// Findings whose fix was just applied are resolved; the rest
-		// still need a human.
-		var remaining []lint.Diagnostic
-		for _, d := range diags {
-			if len(d.SuggestedFixes) == 0 {
-				remaining = append(remaining, d)
-			}
-		}
-		diags = remaining
 	}
 
 	if *jsonOut {

@@ -3,31 +3,16 @@ package lint
 import "go/token"
 
 // The JSON shapes below are the machine-readable face of the suite:
-// `repolint -json` emits a Report, CI archives it as a build artifact,
-// and editor tooling can apply the byte-offset edits directly.
-
-// A JSONEdit is one text replacement in byte offsets within File.
-type JSONEdit struct {
-	File    string `json:"file"`
-	Start   int    `json:"start"`
-	End     int    `json:"end"`
-	NewText string `json:"newText"`
-}
-
-// A JSONFix is one machine-applicable rewrite.
-type JSONFix struct {
-	Message string     `json:"message"`
-	Edits   []JSONEdit `json:"edits"`
-}
+// `repolint -json` emits a Report and CI archives it as a build
+// artifact.
 
 // A JSONDiagnostic is one finding with its file position resolved.
 type JSONDiagnostic struct {
-	File     string    `json:"file"`
-	Line     int       `json:"line"`
-	Column   int       `json:"column"`
-	Analyzer string    `json:"analyzer"`
-	Message  string    `json:"message"`
-	Fixes    []JSONFix `json:"fixes,omitempty"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Column   int    `json:"column"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
 }
 
 // A Report is the top-level -json document.
@@ -43,27 +28,13 @@ func NewReport(fset *token.FileSet, diags []Diagnostic) Report {
 	findings := make([]JSONDiagnostic, 0, len(diags))
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
-		jd := JSONDiagnostic{
+		findings = append(findings, JSONDiagnostic{
 			File:     pos.Filename,
 			Line:     pos.Line,
 			Column:   pos.Column,
 			Analyzer: d.Analyzer,
 			Message:  d.Message,
-		}
-		for _, f := range d.SuggestedFixes {
-			jf := JSONFix{Message: f.Message}
-			for _, e := range f.Edits {
-				start, end := fset.Position(e.Pos), fset.Position(e.End)
-				jf.Edits = append(jf.Edits, JSONEdit{
-					File:    start.Filename,
-					Start:   start.Offset,
-					End:     end.Offset,
-					NewText: e.NewText,
-				})
-			}
-			jd.Fixes = append(jd.Fixes, jf)
-		}
-		findings = append(findings, jd)
+		})
 	}
 	return Report{Count: len(findings), Findings: findings}
 }

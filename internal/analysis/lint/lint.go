@@ -24,7 +24,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -49,24 +48,6 @@ type Diagnostic struct {
 	Pos      token.Pos
 	Analyzer string
 	Message  string
-	// SuggestedFixes are machine-applicable rewrites resolving the
-	// finding, applied by `repolint -fix` and asserted against golden
-	// files by linttest. Most diagnostics carry none.
-	SuggestedFixes []SuggestedFix
-}
-
-// A SuggestedFix is one self-contained rewrite: applying all of its
-// edits together resolves the diagnostic.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
-}
-
-// A TextEdit replaces the source range [Pos, End) with NewText.
-// Pos == End inserts.
-type TextEdit struct {
-	Pos, End token.Pos
-	NewText  string
 }
 
 // A Package is one loaded, parsed, type-checked package ready for
@@ -101,13 +82,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
-// Report records a fully-formed finding (typically one carrying
-// suggested fixes). The Analyzer field is filled in from the pass.
-func (p *Pass) Report(d Diagnostic) {
-	d.Analyzer = p.Analyzer.Name
-	p.report(d)
-}
-
 // InTestFile reports whether pos lies in a _test.go file. Several
 // analyzers exempt tests: tests may legitimately consult wall clocks,
 // use throwaway contexts, or compare floats they just constructed.
@@ -117,9 +91,9 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 
 // A Program is one shared load: every package the analyzers will
 // inspect, plus lazily-built whole-program facts (the call graph,
-// taint sets, source bytes) computed once and reused by every
-// analyzer. The repolint driver builds one Program per invocation —
-// that single type-checked load is what every analyzer shares.
+// taint sets) computed once and reused by every analyzer. The
+// repolint driver builds one Program per invocation — that single
+// type-checked load is what every analyzer shares.
 type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package
@@ -128,14 +102,13 @@ type Program struct {
 	cg     *CallGraph
 
 	mu    sync.Mutex
-	src   map[string][]byte
 	cache map[any]any
 }
 
 // NewProgram bundles the loaded packages into one analyzable program.
 // The packages must share one FileSet (one Loader guarantees this).
 func NewProgram(pkgs []*Package) *Program {
-	p := &Program{Pkgs: pkgs, src: map[string][]byte{}, cache: map[any]any{}}
+	p := &Program{Pkgs: pkgs, cache: map[any]any{}}
 	if len(pkgs) > 0 {
 		p.Fset = pkgs[0].Fset
 	}
@@ -167,60 +140,6 @@ func (p *Program) Cached(key any, build func() any) any {
 	v := build()
 	p.cache[key] = v
 	return v
-}
-
-// FileContent returns (and caches) the raw bytes of a source file the
-// program was parsed from. Fix builders read it to splice original
-// expression text into rewrites.
-func (p *Program) FileContent(name string) ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if b, ok := p.src[name]; ok {
-		return b, nil
-	}
-	b, err := os.ReadFile(name)
-	if err != nil {
-		return nil, err
-	}
-	p.src[name] = b
-	return b, nil
-}
-
-// Source returns the original source text in [pos, end).
-func (p *Program) Source(pos, end token.Pos) (string, error) {
-	start, stop := p.Fset.Position(pos), p.Fset.Position(end)
-	if start.Filename != stop.Filename {
-		return "", fmt.Errorf("lint: source range spans files %s and %s", start.Filename, stop.Filename)
-	}
-	b, err := p.FileContent(start.Filename)
-	if err != nil {
-		return "", err
-	}
-	if stop.Offset > len(b) || start.Offset > stop.Offset {
-		return "", fmt.Errorf("lint: source range [%d, %d) out of bounds for %s", start.Offset, stop.Offset, start.Filename)
-	}
-	return string(b[start.Offset:stop.Offset]), nil
-}
-
-// Indentation returns the leading whitespace of the line pos sits on,
-// so inserted statements can match the surrounding indentation.
-func (p *Program) Indentation(pos token.Pos) (string, error) {
-	at := p.Fset.Position(pos)
-	b, err := p.FileContent(at.Filename)
-	if err != nil {
-		return "", err
-	}
-	lineStart := at.Offset - (at.Column - 1)
-	if lineStart < 0 || at.Offset > len(b) {
-		return "", fmt.Errorf("lint: position out of bounds for %s", at.Filename)
-	}
-	indent := b[lineStart:at.Offset]
-	for _, c := range indent {
-		if c != ' ' && c != '\t' {
-			return "", nil // mid-line position: no usable indent
-		}
-	}
-	return string(indent), nil
 }
 
 // Run applies every analyzer to every package of the program, drops

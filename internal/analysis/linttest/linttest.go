@@ -15,17 +15,13 @@
 // Every directory under testdata/src is loaded as one package (its
 // base name is its import path), and fixtures may import each other —
 // how the interprocedural analyzers get a multi-package program to
-// chew on. When a fixture file has a sibling <name>.golden, the
-// analyzer's suggested fixes are applied to the fixture and the result
-// must match the golden byte for byte; a golden without fixes, or
-// fixes without a golden, fail the test.
+// chew on.
 package linttest
 
 import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"testing"
 
 	"pathsel/internal/analysis/lint"
@@ -37,9 +33,9 @@ var wantRe = regexp.MustCompile("`([^`]*)`" + `|"((?:[^"\\]|\\.)*)"`)
 
 // Run loads every fixture package under testdata/src relative to the
 // calling test's directory, applies the analyzer to the whole program,
-// and compares diagnostics against the fixtures' want comments and
-// suggested fixes against their golden files. pkg names the primary
-// fixture (it must exist; sibling packages are loaded with it).
+// and compares diagnostics against the fixtures' want comments. pkg
+// names the primary fixture (it must exist; sibling packages are
+// loaded with it).
 func Run(t *testing.T, a *lint.Analyzer, pkg string) {
 	t.Helper()
 	root := filepath.Join("testdata", "src")
@@ -68,7 +64,6 @@ func Run(t *testing.T, a *lint.Analyzer, pkg string) {
 		t.Fatal(err)
 	}
 	checkWants(t, prog, diags)
-	checkGoldens(t, prog, diags)
 }
 
 // checkWants matches every diagnostic against the fixture's want
@@ -131,45 +126,6 @@ func checkWants(t *testing.T, prog *lint.Program, diags []lint.Diagnostic) {
 					t.Errorf("%s:%d: expected diagnostic matching %q, got none", file, line, w.re)
 				}
 			}
-		}
-	}
-}
-
-// checkGoldens applies the diagnostics' suggested fixes and compares
-// each rewritten fixture file against its <name>.golden sibling.
-func checkGoldens(t *testing.T, prog *lint.Program, diags []lint.Diagnostic) {
-	t.Helper()
-	fixed, err := lint.ApplyFixes(prog.Fset, diags, os.ReadFile)
-	if err != nil {
-		t.Fatalf("applying suggested fixes: %v", err)
-	}
-	// Every fixed file needs a golden...
-	for name, content := range fixed {
-		golden := name + ".golden"
-		wantBytes, err := os.ReadFile(golden)
-		if err != nil {
-			t.Errorf("suggested fixes rewrite %s but no golden file exists: %v", name, err)
-			continue
-		}
-		if string(content) != string(wantBytes) {
-			t.Errorf("fixed %s differs from %s:\n--- got ---\n%s\n--- want ---\n%s",
-				name, golden, content, wantBytes)
-		}
-	}
-	// ...and every golden must be exercised by some fix.
-	var goldens []string
-	for _, p := range prog.Pkgs {
-		for _, f := range p.Files {
-			name := prog.Fset.Position(f.Pos()).Filename
-			if _, err := os.Stat(name + ".golden"); err == nil {
-				goldens = append(goldens, name)
-			}
-		}
-	}
-	sort.Strings(goldens)
-	for _, name := range goldens {
-		if _, ok := fixed[name]; !ok {
-			t.Errorf("%s.golden exists but the analyzer suggested no fixes for %s", name, name)
 		}
 	}
 }

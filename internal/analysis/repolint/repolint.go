@@ -6,7 +6,6 @@ package repolint
 import (
 	"pathsel/internal/analysis/ctxflow"
 	"pathsel/internal/analysis/ctxleak"
-	"pathsel/internal/analysis/deprecated"
 	"pathsel/internal/analysis/detflow"
 	"pathsel/internal/analysis/detrand"
 	"pathsel/internal/analysis/floateq"
@@ -17,14 +16,13 @@ import (
 )
 
 // All returns every analyzer in the suite, in reporting order. The
-// first five are intraprocedural (v1); ctxleak, deprecated, detflow,
-// and hotalloc arrived with the call-graph engine and consume the
-// shared Program facts.
+// first five are intraprocedural (v1); ctxleak, detflow and hotalloc
+// arrived with the call-graph engine and consume the shared Program
+// facts.
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		ctxflow.Analyzer,
 		ctxleak.Analyzer,
-		deprecated.Analyzer,
 		detflow.Analyzer,
 		detrand.Analyzer,
 		floateq.Analyzer,

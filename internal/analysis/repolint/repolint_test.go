@@ -7,8 +7,8 @@ import "testing"
 // keys, so a collision would make directives ambiguous), and documented.
 func TestSuiteWellFormed(t *testing.T) {
 	all := All()
-	if len(all) != 9 {
-		t.Fatalf("suite has %d analyzers, want 9", len(all))
+	if len(all) != 8 {
+		t.Fatalf("suite has %d analyzers, want 8", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

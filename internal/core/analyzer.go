@@ -9,7 +9,6 @@ import (
 
 	"pathsel/internal/dataset"
 	"pathsel/internal/stats"
-	"pathsel/internal/tcpmodel"
 	"pathsel/internal/topology"
 )
 
@@ -97,7 +96,7 @@ func (a *Analyzer) WithConcurrency(n int) *Analyzer {
 }
 
 // WithContext binds the analyzer's entry points to ctx and returns the
-// analyzer, for chaining: a long-running analysis (BestAlternates,
+// analyzer, for chaining: a long-running analysis (Query,
 // AnalyzeEpisodes, GreedyRemoveTop, the bandwidth searches) aborts with
 // ctx.Err() when ctx is cancelled, e.g. because an HTTP client
 // disconnected or a per-request deadline fired.
@@ -120,22 +119,6 @@ func (a *Analyzer) workers() int { return autoWorkers(a.Concurrency) }
 
 // Dataset returns the underlying dataset.
 func (a *Analyzer) Dataset() *dataset.Dataset { return a.ds }
-
-// BestAlternates compares every measured default path against its best
-// synthetic alternate for the given metric. maxVia limits alternate
-// length in intermediate hosts (0 = unlimited). Pairs without a measured
-// default path or without any alternate are skipped. Results are in
-// deterministic (PairKeys) order regardless of Concurrency.
-//
-// Deprecated: use Query with a QuerySpec{Metric, MaxVia} and
-// ResultSet.PairResults, which this adapter wraps byte-identically.
-func (a *Analyzer) BestAlternates(metric Metric, maxVia int) ([]PairResult, error) {
-	rs, err := a.Query(QuerySpec{Metric: metric, MaxVia: maxVia})
-	if err != nil {
-		return nil, err
-	}
-	return rs.PairResults(), nil
-}
 
 // bestAlternatesOn runs the comparison on a prebuilt graph, optionally
 // excluding hosts (used by the greedy-removal analysis), with the
@@ -182,7 +165,7 @@ func (wa *workerArenas) release() {
 	}
 }
 
-// bestAlternatesWith is the engine under BestAlternates: pairs are
+// bestAlternatesWith is the engine under single-best Query: pairs are
 // prefiltered sequentially, searched across the given number of workers
 // with results written into per-pair slots, then compacted in pair-key
 // order — so the output is byte-identical for any worker count.
@@ -377,23 +360,6 @@ func (r BandwidthResult) Ratio() float64 {
 		return math.Inf(1)
 	}
 	return r.AltKBs / r.DefaultKBs
-}
-
-// BestBandwidthAlternates runs the N2-style bandwidth comparison: each
-// path's RTT and loss come from its TCP transfer measurements, alternate
-// paths are one hop ("to be computationally tractable, we only consider
-// alternate paths of length one hop"), RTTs add, losses compose per the
-// mode, and throughput follows the Mathis model.
-//
-// Deprecated: use Query with QuerySpec{Bandwidth: &BandwidthQuery{...}}
-// and ResultSet.BandwidthResults, which this adapter wraps
-// byte-identically.
-func (a *Analyzer) BestBandwidthAlternates(model tcpmodel.Model, mode BandwidthMode) ([]BandwidthResult, error) {
-	rs, err := a.Query(QuerySpec{Bandwidth: &BandwidthQuery{Model: model, Mode: mode}})
-	if err != nil {
-		return nil, err
-	}
-	return rs.BandwidthResults(), nil
 }
 
 // MedianResult compares medians (composed by convolution) alongside

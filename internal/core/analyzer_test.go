@@ -16,10 +16,11 @@ func TestBestAlternatesRTT(t *testing.T) {
 	addRTT(ds, 0, 2, 20, 22, 18)
 	addRTT(ds, 2, 1, 20, 21, 19)
 	a := NewAnalyzer(ds)
-	results, err := a.BestAlternates(MetricRTT, 0)
+	rs, err := a.Query(QuerySpec{Metric: MetricRTT})
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := rs.PairResults()
 	// Pairs with an alternate: only 0->1 (others lack alternates).
 	if len(results) != 1 {
 		t.Fatalf("got %d results, want 1: %+v", len(results), results)
@@ -51,10 +52,11 @@ func TestBestAlternatesLossComposition(t *testing.T) {
 	addLoss(ds, 0, 2, 5, 100)  // 5%
 	addLoss(ds, 2, 1, 5, 100)  // 5%
 	a := NewAnalyzer(ds)
-	results, err := a.BestAlternates(MetricLoss, 0)
+	rs, err := a.Query(QuerySpec{Metric: MetricLoss})
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := rs.PairResults()
 	if len(results) != 1 {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -76,10 +78,11 @@ func TestBestAlternatesWorseAlternate(t *testing.T) {
 	addRTT(ds, 0, 2, 50)
 	addRTT(ds, 2, 1, 50)
 	a := NewAnalyzer(ds)
-	results, err := a.BestAlternates(MetricRTT, 0)
+	rs, err := a.Query(QuerySpec{Metric: MetricRTT})
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := rs.PairResults()
 	if len(results) != 1 || results[0].Improvement() >= 0 {
 		t.Fatalf("expected one negative-improvement result, got %+v", results)
 	}
@@ -127,10 +130,11 @@ func TestBestBandwidthAlternates(t *testing.T) {
 	model := tcpmodel.Default()
 
 	for _, mode := range []BandwidthMode{Optimistic, Pessimistic} {
-		results, err := a.BestBandwidthAlternates(model, mode)
+		rs, err := a.Query(QuerySpec{Bandwidth: &BandwidthQuery{Model: model, Mode: mode}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		results := rs.BandwidthResults()
 		if len(results) != 1 {
 			t.Fatalf("%v: got %d results", mode, len(results))
 		}
@@ -169,14 +173,16 @@ func TestOptimisticAtLeastPessimistic(t *testing.T) {
 	addTransfer(ds, 3, 1, 90, 0.04)
 	a := NewAnalyzer(ds)
 	model := tcpmodel.Default()
-	opt, err := a.BestBandwidthAlternates(model, Optimistic)
+	rs, err := a.Query(QuerySpec{Bandwidth: &BandwidthQuery{Model: model, Mode: Optimistic}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pess, err := a.BestBandwidthAlternates(model, Pessimistic)
+	opt := rs.BandwidthResults()
+	rs, err = a.Query(QuerySpec{Bandwidth: &BandwidthQuery{Model: model, Mode: Pessimistic}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pess := rs.BandwidthResults()
 	if len(opt) != len(pess) {
 		t.Fatalf("result lengths differ")
 	}
@@ -296,14 +302,16 @@ func TestBestAlternatesDeterministic(t *testing.T) {
 		addRTT(ds, e.s, e.d, float64(e.v))
 	}
 	a := NewAnalyzer(ds)
-	r1, err := a.BestAlternates(MetricRTT, 0)
+	rs, err := a.Query(QuerySpec{Metric: MetricRTT})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := a.BestAlternates(MetricRTT, 0)
+	r1 := rs.PairResults()
+	rs, err = a.Query(QuerySpec{Metric: MetricRTT})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r2 := rs.PairResults()
 	if len(r1) != len(r2) {
 		t.Fatal("nondeterministic result count")
 	}

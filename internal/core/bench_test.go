@@ -53,10 +53,11 @@ func BenchmarkBestAlternates(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				results, err := a.BestAlternates(bc.metric, bc.maxVia)
+				rs, err := a.Query(QuerySpec{Metric: bc.metric, MaxVia: bc.maxVia})
 				if err != nil {
 					b.Fatal(err)
 				}
+				results := rs.PairResults()
 				if len(results) == 0 {
 					b.Fatal("no results")
 				}
@@ -83,10 +84,11 @@ func BenchmarkBestAlternatesParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				results, err := a.BestAlternates(MetricRTT, 0)
+				rs, err := a.Query(QuerySpec{Metric: MetricRTT})
 				if err != nil {
 					b.Fatal(err)
 				}
+				results := rs.PairResults()
 				if len(results) == 0 {
 					b.Fatal("no results")
 				}

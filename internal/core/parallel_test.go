@@ -20,14 +20,16 @@ func TestParallelMatchesSequential(t *testing.T) {
 	par := NewAnalyzer(ds).WithConcurrency(8)
 	for _, metric := range []Metric{MetricRTT, MetricLoss, MetricPropDelay} {
 		for _, maxVia := range []int{0, 1, 2} {
-			want, err := seq.BestAlternates(metric, maxVia)
+			rs, err := seq.Query(QuerySpec{Metric: metric, MaxVia: maxVia})
 			if err != nil {
 				t.Fatalf("%v/maxVia=%d sequential: %v", metric, maxVia, err)
 			}
-			got, err := par.BestAlternates(metric, maxVia)
+			want := rs.PairResults()
+			rs, err = par.Query(QuerySpec{Metric: metric, MaxVia: maxVia})
 			if err != nil {
 				t.Fatalf("%v/maxVia=%d parallel: %v", metric, maxVia, err)
 			}
+			got := rs.PairResults()
 			if len(want) == 0 {
 				t.Fatalf("%v/maxVia=%d: no comparable pairs", metric, maxVia)
 			}
@@ -78,7 +80,7 @@ func TestParallelImprovementContributions(t *testing.T) {
 }
 
 // TestParallelMedianAlternates covers the median-of-medians engine,
-// which walks a different code path than BestAlternates.
+// which walks a different code path than the single-best Query.
 func TestParallelMedianAlternates(t *testing.T) {
 	ds := benchDataset(24)
 	seq := NewAnalyzer(ds).WithConcurrency(1)
@@ -157,10 +159,11 @@ func TestDijkstraScanMatchesHeap(t *testing.T) {
 func TestSharedTreeMatchesPerPair(t *testing.T) {
 	ds := benchDataset(24)
 	for _, metric := range []Metric{MetricRTT, MetricLoss, MetricPropDelay} {
-		results, err := NewAnalyzer(ds).WithConcurrency(1).BestAlternates(metric, 0)
+		rs, err := NewAnalyzer(ds).WithConcurrency(1).Query(QuerySpec{Metric: metric})
 		if err != nil {
 			t.Fatal(err)
 		}
+		results := rs.PairResults()
 		g, err := buildGraph(ds, metric)
 		if err != nil {
 			t.Fatal(err)
@@ -261,7 +264,7 @@ func TestParallelForCancellation(t *testing.T) {
 
 	// An analyzer bound to a cancelled context aborts its computation.
 	ds := benchDataset(24)
-	if _, err := NewAnalyzer(ds).WithConcurrency(4).WithContext(pre).BestAlternates(MetricRTT, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("BestAlternates under cancelled ctx: %v", err)
+	if _, err := NewAnalyzer(ds).WithConcurrency(4).WithContext(pre).Query(QuerySpec{Metric: MetricRTT}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Query under cancelled ctx: %v", err)
 	}
 }

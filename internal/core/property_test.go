@@ -46,14 +46,16 @@ func TestPropertyOneHopIsUpperBoundForUnrestricted(t *testing.T) {
 	f := func(seed int64) bool {
 		ds := randomDataset(seed, 6, 0.6)
 		a := NewAnalyzer(ds)
-		oneHop, err := a.BestAlternates(MetricRTT, 1)
+		rs, err := a.Query(QuerySpec{Metric: MetricRTT, MaxVia: 1})
 		if err != nil {
 			return false
 		}
-		unrestricted, err := a.BestAlternates(MetricRTT, 0)
+		oneHop := rs.PairResults()
+		rs, err = a.Query(QuerySpec{Metric: MetricRTT})
 		if err != nil {
 			return false
 		}
+		unrestricted := rs.PairResults()
 		byKey := map[dataset.PairKey]float64{}
 		for _, r := range unrestricted {
 			byKey[r.Key] = r.AltValue
@@ -83,10 +85,11 @@ func TestPropertyLossValuesAreProbabilities(t *testing.T) {
 	f := func(seed int64) bool {
 		ds := randomDataset(seed, 6, 0.6)
 		a := NewAnalyzer(ds)
-		results, err := a.BestAlternates(MetricLoss, 0)
+		rs, err := a.Query(QuerySpec{Metric: MetricLoss})
 		if err != nil {
 			return false
 		}
+		results := rs.PairResults()
 		for _, r := range results {
 			if r.AltValue < 0 || r.AltValue > 1 {
 				return false
@@ -112,10 +115,11 @@ func TestPropertyAlternateNeverUsesDirectEdge(t *testing.T) {
 		ds := randomDataset(seed, 7, 0.5)
 		a := NewAnalyzer(ds)
 		for _, metric := range []Metric{MetricRTT, MetricLoss, MetricPropDelay} {
-			results, err := a.BestAlternates(metric, 0)
+			rs, err := a.Query(QuerySpec{Metric: metric})
 			if err != nil {
 				return false
 			}
+			results := rs.PairResults()
 			for _, r := range results {
 				if len(r.Via) == 0 {
 					return false
@@ -140,10 +144,11 @@ func TestPropertyVerdictsPartition(t *testing.T) {
 	f := func(seed int64) bool {
 		ds := randomDataset(seed, 6, 0.6)
 		a := NewAnalyzer(ds)
-		results, err := a.BestAlternates(MetricRTT, 0)
+		rs, err := a.Query(QuerySpec{Metric: MetricRTT})
 		if err != nil {
 			return false
 		}
+		results := rs.PairResults()
 		v := ClassifyVerdicts(results, 0.95)
 		return v.Total() == len(results) &&
 			v.Better >= 0 && v.Worse >= 0 && v.Indeterminate >= 0 && v.BothZero >= 0

@@ -14,10 +14,7 @@ import (
 
 // Exclusions names hosts the search must treat as absent: pairs with
 // an excluded endpoint are skipped and excluded hosts never appear as
-// intermediates. The typed option replaces the positional bool-slice
-// argument the pre-Query entry points threaded next to maxVia (and
-// that new call sites kept transposing); hosts are validated against
-// the dataset's host list.
+// intermediates. Hosts are validated against the dataset's host list.
 type Exclusions struct {
 	Hosts []topology.HostID
 }
@@ -100,17 +97,14 @@ type PairPathSet struct {
 
 // ResultSet is the outcome of one Query over every measured pair, in
 // deterministic PairKeys order. Pairs without a measured default path
-// or without any surviving alternate are omitted, matching the legacy
-// single-alternate analyses.
+// or without any surviving alternate are omitted.
 type ResultSet struct {
 	Spec  QuerySpec
 	Pairs []PairPathSet
 }
 
-// PairResults flattens the set to the legacy one-alternate-per-pair
-// form: each pair's first alternate versus its default. A K=1 query's
-// PairResults are byte-identical to the pre-Query BestAlternates
-// output.
+// PairResults flattens the set to one row per pair: each pair's first
+// alternate versus its default.
 func (rs ResultSet) PairResults() []PairResult {
 	out := make([]PairResult, 0, len(rs.Pairs))
 	for _, p := range rs.Pairs {
@@ -130,8 +124,8 @@ func (rs ResultSet) PairResults() []PairResult {
 	return out
 }
 
-// BandwidthResults flattens a bandwidth query to the legacy form:
-// modeled default and best-alternate throughputs per pair.
+// BandwidthResults flattens a bandwidth query to one row per pair:
+// modeled default and best-alternate throughputs.
 func (rs ResultSet) BandwidthResults() []BandwidthResult {
 	out := make([]BandwidthResult, 0, len(rs.Pairs))
 	for _, p := range rs.Pairs {
@@ -185,8 +179,7 @@ func (a *Analyzer) Query(spec QuerySpec) (ResultSet, error) {
 	var pairs []PairPathSet
 	if k == 1 {
 		// The single-best case routes through the shared-source-tree
-		// batch engine, the exact machinery the legacy BestAlternates
-		// used — K=1 queries inherit its output verbatim.
+		// batch engine, which is cheaper than Yen's algorithm at K=1.
 		results, err := a.bestAlternatesWith(g, spec.Metric, spec.MaxVia, excluded, workers)
 		if err != nil {
 			return ResultSet{}, err
@@ -356,8 +349,8 @@ func (a *Analyzer) composedPath(g *graph, metric Metric, ann annotations, vp []i
 	return p, nil
 }
 
-// defaultPath builds the pair's default (direct) path from a legacy
-// result row.
+// defaultPath builds the pair's default (direct) path from a
+// PairResult row.
 func (a *Analyzer) defaultPath(g *graph, metric Metric, ann annotations, r PairResult) pathset.Path {
 	p := pathset.Path{
 		Hops:    []topology.HostID{r.Key.Src, r.Key.Dst},
@@ -478,8 +471,7 @@ func (a *Analyzer) pathASes(hops []topology.HostID) []topology.ASN {
 
 // queryBandwidth is the Mathis-model branch of Query: one-hop relay
 // enumeration in dataset host order, ranked by descending modeled
-// throughput with the earliest host winning ties — for K=1 exactly
-// the pre-Query BestBandwidthAlternates selection.
+// throughput with the earliest host winning ties.
 func (a *Analyzer) queryBandwidth(spec QuerySpec) (ResultSet, error) {
 	bq := spec.Bandwidth
 	k := spec.K

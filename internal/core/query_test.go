@@ -14,10 +14,10 @@ import (
 	"pathsel/internal/topology"
 )
 
-// legacyBestAlternates is the pre-Query BestAlternates, preserved here
-// verbatim as the oracle for the byte-identity property: Query with
-// K=1 must reproduce its output exactly.
-func legacyBestAlternates(a *Analyzer, metric Metric, maxVia int) ([]PairResult, error) {
+// oracleAlternates runs the single-best batch engine directly on the
+// analyzer's graph, the oracle for the byte-identity property: Query
+// with K=1 must reproduce its output exactly.
+func oracleAlternates(a *Analyzer, metric Metric, maxVia int) ([]PairResult, error) {
 	g, err := a.graphFor(metric)
 	if err != nil {
 		return nil, err
@@ -25,9 +25,10 @@ func legacyBestAlternates(a *Analyzer, metric Metric, maxVia int) ([]PairResult,
 	return a.bestAlternatesOn(g, metric, maxVia, nil)
 }
 
-// legacyBestBandwidthAlternates is the pre-Query bandwidth comparison,
-// preserved verbatim as the oracle for the bandwidth branch.
-func legacyBestBandwidthAlternates(a *Analyzer, model tcpmodel.Model, mode BandwidthMode) ([]BandwidthResult, error) {
+// oracleBandwidthAlternates is a direct one-hop enumeration of the
+// Mathis-model bandwidth comparison, the oracle for Query's bandwidth
+// branch.
+func oracleBandwidthAlternates(a *Analyzer, model tcpmodel.Model, mode BandwidthMode) ([]BandwidthResult, error) {
 	type pathStat struct{ rtt, loss float64 }
 	st := map[dataset.PairKey]pathStat{}
 	for _, k := range a.ds.PairKeys() {
@@ -86,7 +87,7 @@ func TestQueryK1ByteIdentical(t *testing.T) {
 	ds := randomDataset(42, 12, 0.6)
 	for _, metric := range []Metric{MetricRTT, MetricLoss} {
 		for _, maxVia := range []int{0, 1, 2} {
-			want, err := legacyBestAlternates(NewAnalyzer(ds), metric, maxVia)
+			want, err := oracleAlternates(NewAnalyzer(ds), metric, maxVia)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,14 +102,7 @@ func TestQueryK1ByteIdentical(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if got := rs.PairResults(); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: Query K=1 diverges from legacy BestAlternates", name)
-				}
-				adapted, err := a.BestAlternates(metric, maxVia)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !reflect.DeepEqual(adapted, want) {
-					t.Errorf("%s: deprecated adapter diverges from legacy", name)
+					t.Errorf("%s: Query K=1 diverges from the oracle", name)
 				}
 			}
 		}
@@ -128,7 +122,7 @@ func TestQueryBandwidthByteIdentical(t *testing.T) {
 	}
 	model := tcpmodel.Default()
 	for _, mode := range []BandwidthMode{Optimistic, Pessimistic} {
-		want, err := legacyBestBandwidthAlternates(NewAnalyzer(ds), model, mode)
+		want, err := oracleBandwidthAlternates(NewAnalyzer(ds), model, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +136,7 @@ func TestQueryBandwidthByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := rs.BandwidthResults(); !reflect.DeepEqual(got, want) {
-				t.Errorf("%v conc=%d: bandwidth Query diverges from legacy", mode, conc)
+				t.Errorf("%v conc=%d: bandwidth Query diverges from the oracle", mode, conc)
 			}
 		}
 	}

@@ -102,7 +102,7 @@ func (g *graph) spurSearch(s *searchScratch, sp, dst, r int, excluded []bool) (p
 // ascending (weight, length, lex) candidate order, each a fresh vertex
 // slice including both endpoints. The first path is exactly the one
 // shortestAlternateInto finds, so a k=1 query degenerates to the
-// legacy single-best search; subsequent paths are Yen deviations: for
+// single-best search; subsequent paths are Yen deviations: for
 // each spur position along the latest accepted path, the root's
 // interior is excluded, the next hop of every accepted path sharing
 // the root is banned, and the remaining maxVia budget bounds the spur.

@@ -90,7 +90,6 @@ type Dataset struct {
 	// build and once per alternate sweep — and the greedy host-removal
 	// experiment runs thousands of sweeps — so re-sorting on every call
 	// dominates; the cache is invalidated whenever the pair set changes.
-	// (Both fields are unexported, so gob encoding ignores them.)
 	pairKeysMu sync.Mutex
 	pairKeys   []PairKey
 

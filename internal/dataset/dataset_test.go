@@ -2,8 +2,6 @@ package dataset
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"pathsel/internal/netsim"
@@ -239,58 +237,6 @@ func TestRTTDist(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	d := New("persist", []topology.HostID{0, 1})
-	k := key(0, 1)
-	d.RecordEcho(k, 42, []float64{10, 20}, []bool{false, false}, []topology.ASN{5, 6}, 2)
-	d.AddEpisode(&Episode{At: 9, RTTMs: map[PairKey]float64{k: 15}})
-
-	path := filepath.Join(dir, "d.gob.gz")
-	if err := d.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != "persist" || len(got.Hosts) != 2 {
-		t.Errorf("loaded %+v", got)
-	}
-	rtt, ok := got.MeanRTT(k)
-	if !ok || rtt.Mean != 15 || rtt.N != 2 {
-		t.Errorf("loaded RTT %+v", rtt)
-	}
-	if len(got.Episodes) != 1 || got.Episodes[0].RTTMs[k] != 15 {
-		t.Errorf("loaded episodes %+v", got.Episodes)
-	}
-	p := got.Paths[k]
-	if len(p.ASPath) != 2 || p.ASPath[1] != 6 {
-		t.Errorf("loaded AS path %v", p.ASPath)
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope.gob.gz")); err == nil {
-		t.Error("loading a missing file should error")
-	}
-}
-
-func TestLoadCorruptFile(t *testing.T) {
-	dir := t.TempDir()
-	p := filepath.Join(dir, "bad.gob.gz")
-	if err := writeFile(p, []byte("not a gzip stream")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(p); err == nil {
-		t.Error("loading a corrupt file should error")
-	}
-}
-
-func writeFile(path string, data []byte) error {
-	return os.WriteFile(path, data, 0o644)
-}
-
 func TestSubset(t *testing.T) {
 	d := New("full", []topology.HostID{0, 1, 2, 3})
 	d.RecordEcho(key(0, 1), 0, []float64{10}, []bool{false}, nil, 1)
@@ -334,12 +280,5 @@ func TestSubset(t *testing.T) {
 	empty := d.Subset("none", []topology.HostID{9})
 	if len(empty.Hosts) != 0 || len(empty.Paths) != 0 {
 		t.Errorf("unexpected content %v %v", empty.Hosts, empty.Paths)
-	}
-}
-
-func TestSaveToUnwritablePath(t *testing.T) {
-	d := New("x", []topology.HostID{0, 1})
-	if err := d.Save("/nonexistent-dir/sub/file.gob.gz"); err == nil {
-		t.Error("saving into a missing directory should error")
 	}
 }

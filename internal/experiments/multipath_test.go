@@ -87,16 +87,16 @@ func TestMultipathDeterministic(t *testing.T) {
 }
 
 // TestQueryPresetEquivalence is the acceptance property at suite
-// scale: on a built preset's UW3 dataset, Query with K=1 reproduces
-// the deprecated BestAlternates byte-for-byte at several worker
-// counts. The quick preset always runs; the full preset is covered
+// scale: on a built preset's UW3 dataset, Query with K=1 is
+// byte-identical at several worker counts. The quick preset always runs; the full preset is covered
 // unless -short.
 func TestQueryPresetEquivalence(t *testing.T) {
 	check := func(t *testing.T, s *Suite) {
-		want, err := core.NewAnalyzer(s.UW3).WithConcurrency(1).BestAlternates(core.MetricRTT, 0)
+		rs, err := core.NewAnalyzer(s.UW3).WithConcurrency(1).Query(core.QuerySpec{Metric: core.MetricRTT})
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := rs.PairResults()
 		if len(want) == 0 {
 			t.Fatal("no pairs")
 		}
@@ -106,7 +106,7 @@ func TestQueryPresetEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(rs.PairResults(), want) {
-				t.Fatalf("conc=%d: Query K=1 diverges from BestAlternates on %s", conc, s.UW3.Name)
+				t.Fatalf("conc=%d: Query K=1 diverges from the sequential run on %s", conc, s.UW3.Name)
 			}
 		}
 	}

@@ -50,14 +50,15 @@ func TestScaleSmoke(t *testing.T) {
 	var want []core.PairResult
 	for _, workers := range []int{1, 4, 0} {
 		a := core.NewAnalyzer(s.UW3).WithConcurrency(workers)
-		got, err := a.BestAlternates(core.MetricRTT, 0)
+		rs, err := a.Query(core.QuerySpec{Metric: core.MetricRTT})
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := rs.PairResults()
 		if want == nil {
 			want = got
 		} else if !reflect.DeepEqual(got, want) {
-			t.Errorf("BestAlternates differs at concurrency %d", workers)
+			t.Errorf("Query differs at concurrency %d", workers)
 		}
 	}
 

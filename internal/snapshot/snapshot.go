@@ -79,7 +79,7 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // "stale snapshot" (both of which warrant a cold rebuild) from I/O
 // failures.
 var (
-	ErrMagic    = errors.New("snapshot: not a suite snapshot")
+	ErrMagic    = errors.New("snapshot: not a snapshot file")
 	ErrVersion  = errors.New("snapshot: format version mismatch")
 	ErrChecksum = errors.New("snapshot: payload checksum mismatch")
 )
@@ -184,7 +184,20 @@ func encodeDataset(e *enc, d *dataset.Dataset) {
 // of it) always yields identical bytes.
 func Encode(s *experiments.Suite) ([]byte, error) {
 	names := experiments.PrimaryDatasetNames()
+	sets := make([]*dataset.Dataset, len(names))
+	for i, name := range names {
+		d, ok := s.Dataset(name)
+		if !ok || d == nil {
+			return nil, fmt.Errorf("snapshot: suite has no dataset %q", name)
+		}
+		sets[i] = d
+	}
+	return encode(int32(s.Config.Preset), s.Config.Seed, names, sets)
+}
 
+// encode lays out a snapshot file: the header, then the section table
+// naming sets[i] names[i], then the sections.
+func encode(preset int32, seed int64, names []string, sets []*dataset.Dataset) ([]byte, error) {
 	// Sections first, each encoded into the shared buffer at an aligned
 	// offset, with table entries recorded as we go.
 	type entry struct {
@@ -193,17 +206,13 @@ func Encode(s *experiments.Suite) ([]byte, error) {
 	}
 	table := make([]entry, 0, len(names))
 	var body enc
-	for _, name := range names {
-		d, ok := s.Dataset(name)
-		if !ok || d == nil {
-			return nil, fmt.Errorf("snapshot: suite has no dataset %q", name)
-		}
+	for i, name := range names {
 		if len(name) > 16 {
 			return nil, fmt.Errorf("snapshot: dataset name %q exceeds 16 bytes", name)
 		}
 		body.pad8()
 		start := len(body.b)
-		encodeDataset(&body, d)
+		encodeDataset(&body, sets[i])
 		table = append(table, entry{name: name, off: uint64(start), len: uint64(len(body.b) - start)})
 	}
 
@@ -225,8 +234,8 @@ func Encode(s *experiments.Suite) ([]byte, error) {
 	out.b = make([]byte, 0, headerSize+len(payload.b))
 	out.b = append(out.b, magic[:]...)
 	out.u32(Version)
-	out.u32(uint32(int32(s.Config.Preset)))
-	out.i64(s.Config.Seed)
+	out.u32(uint32(preset))
+	out.i64(seed)
 	out.u32(uint32(len(table)))
 	out.u32(0)
 	out.u64(uint64(len(payload.b)))
@@ -549,15 +558,54 @@ func Write(dir string, s *experiments.Suite) (string, error) {
 		return "", err
 	}
 	path := dir + string(os.PathSeparator) + FileName(s.Config)
+	if err := writeAtomic(path, data); err != nil {
+		return "", err
+	}
+	return path, nil
+}
+
+// WriteDataset persists one campaign dataset at path, atomically, as a
+// snapshot file with a single section named after the dataset (so the
+// name must fit the section table's 16 bytes) and a zero preset and
+// seed: a dataset file records measurements, not a suite.
+func WriteDataset(path string, d *dataset.Dataset) error {
+	data, err := encode(0, 0, []string{d.Name}, []*dataset.Dataset{d})
+	if err != nil {
+		return err
+	}
+	return writeAtomic(path, data)
+}
+
+// ReadDataset reads a dataset file written by WriteDataset. A file
+// that is not a snapshot, fails its checksum or holds any number of
+// sections other than one is an error.
+func ReadDataset(path string) (*dataset.Dataset, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	_, sets, err := Decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if n := binary.LittleEndian.Uint32(data[24:]); n != 1 {
+		return nil, fmt.Errorf("snapshot: %s holds %d datasets, want 1", path, n)
+	}
+	return sets[string(trimZero(data[headerSize:headerSize+16]))], nil
+}
+
+// writeAtomic writes data to a temp file beside path, then renames it
+// into place, so a reader never sees a partial file.
+func writeAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return "", fmt.Errorf("snapshot: write %s: %w", tmp, err)
+		return fmt.Errorf("snapshot: write %s: %w", tmp, err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return "", fmt.Errorf("snapshot: rename %s: %w", path, err)
+		return fmt.Errorf("snapshot: rename %s: %w", path, err)
 	}
-	return path, nil
+	return nil
 }
 
 // readBufs recycles Load's file buffers. A warm start reads a whole

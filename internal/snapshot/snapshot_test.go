@@ -204,6 +204,48 @@ func TestWriteLoad(t *testing.T) {
 	}
 }
 
+// TestWriteReadDataset: a dataset file carries every record type
+// through, and write and read failures are errors.
+func TestWriteReadDataset(t *testing.T) {
+	dir := t.TempDir()
+	k := dataset.PairKey{Src: 0, Dst: 1}
+	d := dataset.New("persist", []topology.HostID{0, 1})
+	d.RecordEcho(k, 42, []float64{10, 20}, []bool{false, true}, []topology.ASN{5, 6}, 2)
+	d.RecordTransfer(k, dataset.TransferSample{At: 7, MeanRTTMs: 30, LossRate: 0.5, Packets: 9})
+	d.AddEpisode(&dataset.Episode{At: 9, RTTMs: map[dataset.PairKey]float64{k: 15}})
+
+	path := filepath.Join(dir, "d.snap")
+	if err := WriteDataset(path, d); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadDataset(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Name != "persist" || !slices.Equal(got.Hosts, d.Hosts) {
+		t.Errorf("read name %q hosts %v", got.Name, got.Hosts)
+	}
+	p, want := got.Paths[k], d.Paths[k]
+	if p == nil || p.Measurements != want.Measurements || !slices.Equal(p.RTT, want.RTT) ||
+		!slices.Equal(p.Loss, want.Loss) || !slices.Equal(p.Transfers, want.Transfers) ||
+		!slices.Equal(p.ASPath, want.ASPath) {
+		t.Errorf("read path %+v, want %+v", p, want)
+	}
+	if len(got.Episodes) != 1 || got.Episodes[0].At != 9 || got.Episodes[0].RTTMs[k] != 15 {
+		t.Errorf("read episodes %+v", got.Episodes)
+	}
+
+	if err := WriteDataset(filepath.Join(dir, "long.snap"), dataset.New("seventeen-bytes-x", nil)); err == nil {
+		t.Error("a dataset name over 16 bytes was written")
+	}
+	if err := WriteDataset(filepath.Join(dir, "missing-dir", "d.snap"), d); err == nil {
+		t.Error("writing into a missing directory succeeded")
+	}
+	if _, err := ReadDataset(filepath.Join(dir, "nope.snap")); !os.IsNotExist(err) {
+		t.Errorf("reading a missing file gave %v, want IsNotExist", err)
+	}
+}
+
 // TestDecodeRejectsCorruption: magic, version and checksum failures are
 // the documented sentinel errors, and arbitrary corruption never
 // panics.
@@ -484,6 +526,16 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte("PSELSNAP"))
 	f.Add(make([]byte, 64))
 	f.Add([]byte("PSELSNAP\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00"))
+	// A one-section dataset file, as pathsim writes, and a truncation.
+	d := dataset.New("seed", []topology.HostID{0, 1})
+	d.RecordEcho(dataset.PairKey{Src: 0, Dst: 1}, 1, []float64{10}, []bool{false}, []topology.ASN{1, 2}, 1)
+	d.AddEpisode(&dataset.Episode{At: 2, RTTMs: map[dataset.PairKey]float64{{Src: 0, Dst: 1}: 10}})
+	file, err := encode(0, 0, []string{d.Name}, []*dataset.Dataset{d})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(file)
+	f.Add(file[:len(file)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, ds, err := Decode(data)
 		if err == nil {
