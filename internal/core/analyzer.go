@@ -384,9 +384,13 @@ func (a *Analyzer) BestMedianAlternates() ([]MedianResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Precompute per-path distributions.
-	dists := map[dataset.PairKey]stats.Dist{}
-	medians := map[dataset.PairKey]float64{}
+	// Precompute each path's median and its distribution thinned for
+	// convolution, once rather than per convolution.
+	type pathDist struct {
+		median float64
+		thin   stats.Dist
+	}
+	dists := map[dataset.PairKey]pathDist{}
 	for _, k := range a.ds.PairKeys() {
 		d, ok := a.ds.RTTDist(k)
 		if !ok {
@@ -396,13 +400,14 @@ func (a *Analyzer) BestMedianAlternates() ([]MedianResult, error) {
 		if err != nil {
 			continue
 		}
-		dists[k] = d
-		medians[k] = m
+		dists[k] = pathDist{median: m, thin: d.Thin(stats.ConvolutionPoints)}
 	}
 	keys := a.ds.PairKeys()
 	results := make([]MedianResult, len(keys))
 	valid := make([]bool, len(keys))
-	err = parallelFor(a.context(), a.workers(), len(keys), func(_, i int) error {
+	workers := a.workers()
+	scratch := make([][]float64, workers) // cross sums, one buffer per worker
+	err = parallelFor(a.context(), workers, len(keys), func(w, i int) error {
 		k := keys[i]
 		si, ok1 := g.index[k.Src]
 		di, ok2 := g.index[k.Dst]
@@ -439,11 +444,8 @@ func (a *Analyzer) BestMedianAlternates() ([]MedianResult, error) {
 			if !ok1 || !ok2 {
 				continue
 			}
-			conv, err := d1.Convolve(d2)
-			if err != nil {
-				continue
-			}
-			m, err := conv.Median()
+			m, buf, err := d1.thin.ConvolvedMedian(d2.thin, scratch[w])
+			scratch[w] = buf
 			if err != nil {
 				continue
 			}
@@ -455,14 +457,10 @@ func (a *Analyzer) BestMedianAlternates() ([]MedianResult, error) {
 		if !foundMedian {
 			return nil
 		}
-		directMedian, err := directDist.Median()
-		if err != nil {
-			return nil
-		}
 		results[i] = MedianResult{
 			Key:               k,
 			MeanImprovement:   direct.value - meanVal,
-			MedianImprovement: directMedian - bestMedian,
+			MedianImprovement: directDist.median - bestMedian,
 		}
 		valid[i] = true
 		return nil

@@ -29,6 +29,16 @@ func TestOverlayExhibit(t *testing.T) {
 		t.Fatalf("RTT point clouds inconsistent: %d/%d/%d",
 			len(res.OverlayRTTs), len(res.DefaultRTTs), len(res.OptimalRTTs))
 	}
+	// The offline optimum bounds both routes at every point. Overlay vs
+	// default is ordered only on average (checked below): the
+	// controller acts on stale probes, so at some points it picked a
+	// relay that ground truth makes slower than the direct path.
+	for i, opt := range res.OptimalRTTs {
+		if opt > res.OverlayRTTs[i] || opt > res.DefaultRTTs[i] {
+			t.Fatalf("point %d of %d: optimal %.6f ms above overlay %.6f or default %.6f",
+				i, len(res.OptimalRTTs), opt, res.OverlayRTTs[i], res.DefaultRTTs[i])
+		}
+	}
 
 	for _, b := range res.Budgets {
 		// The acceptance ordering: overlay strictly between default and

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"time"
 )
@@ -44,17 +46,38 @@ func (w *statusWriter) Flush() {
 // derived from the matched pattern when the inner handler is a
 // ServeMux-routed handler, falling back to the raw path; logger may be
 // nil to disable access logs.
+//
+// A panic in next is recovered, counted in http_panics_total{route} and
+// logged as one line (to slog's default logger when logger is nil).
+// The client gets a 500 if no header was written yet, which server.Router
+// passes through instead of retrying the same panic on another worker;
+// otherwise the response is aborted.
 func Instrument(reg *Registry, logger *slog.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
+		p, stack := serveRecovered(next, sw, r)
 		route := r.Pattern
 		if route == "" {
 			route = "unmatched"
+		}
+		// A header already on the wire cannot become a 500, and
+		// http.ErrAbortHandler asks for the abort outright.
+		abort := p == http.ErrAbortHandler || p != nil && sw.status != 0
+		if p != nil && p != http.ErrAbortHandler {
+			reg.Counter("http_panics_total", "Handler panics recovered, by route.", "route", route).Inc()
+			l := logger
+			if l == nil {
+				l = slog.Default()
+			}
+			l.Error("handler panic", "method", r.Method, "path", r.URL.Path, "query", r.URL.RawQuery,
+				"panic", fmt.Sprint(p), "stack", string(stack))
+		}
+		if p != nil && !abort {
+			http.Error(sw, "internal server error", http.StatusInternalServerError)
+		}
+		if sw.status == 0 {
+			sw.status = http.StatusOK
 		}
 		elapsed := time.Since(start)
 		reg.Counter("http_requests_total", "HTTP requests by route and status code.",
@@ -72,5 +95,20 @@ func Instrument(reg *Registry, logger *slog.Logger, next http.Handler) http.Hand
 				"remote", r.RemoteAddr,
 			)
 		}
+		if abort {
+			panic(http.ErrAbortHandler) // net/http drops the half-written response
+		}
 	})
+}
+
+// serveRecovered runs next and returns the value it panicked with, if
+// any, and the stack it panicked on.
+func serveRecovered(next http.Handler, w http.ResponseWriter, r *http.Request) (panicked any, stack []byte) {
+	defer func() {
+		if panicked = recover(); panicked != nil {
+			stack = debug.Stack()
+		}
+	}()
+	next.ServeHTTP(w, r)
+	return nil, nil
 }

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -117,6 +119,32 @@ func TestInstrument(t *testing.T) {
 	}
 	if strings.Contains(out, "/api/thing/42") {
 		t.Errorf("raw path leaked into metric labels:\n%s", out)
+	}
+}
+
+// TestInstrumentPanicAfterHeader checks the other half of panic
+// recovery: once a header is on the wire the response is aborted, not
+// turned into a 500, and the panic is still counted.
+func TestInstrumentPanicAfterHeader(t *testing.T) {
+	reg := NewRegistry()
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /stream", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		panic("mid-stream")
+	})
+	srv := httptest.NewServer(Instrument(reg, slog.New(slog.NewTextHandler(io.Discard, nil)), mux))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/stream")
+	if err == nil {
+		_, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+	}
+	if err == nil {
+		t.Fatal("response completed; want it aborted")
+	}
+	if n := reg.Counter("http_panics_total", "", "route", "GET /stream").Value(); n != 1 {
+		t.Errorf("http_panics_total = %d, want 1", n)
 	}
 }
 

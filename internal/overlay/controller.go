@@ -273,7 +273,7 @@ func (c *Controller) decideOne(p int, now netsim.Time) int {
 // switches made this tick.
 func (c *Controller) Decide(ctx context.Context, now netsim.Time) (int, error) {
 	next := make([]int, len(c.routes))
-	err := parallelFor(ctx, autoWorkers(c.cfg.Concurrency), len(c.routes), func(p int) {
+	err := parallelFor(ctx, autoWorkers(c.cfg.Concurrency), len(c.routes), func(_, p int) {
 		next[p] = c.decideOne(p, now)
 	})
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"pathsel/internal/netsim"
 	"pathsel/internal/topology"
@@ -147,6 +146,7 @@ type harness struct {
 	mesh    *mesh
 	workers int
 	metrics *Metrics
+	rngs    []*probeRNG // one per worker
 
 	// Per-tick edge truth cache: truth[e] is valid for the current tick
 	// iff valid[e]; fwdPath/revPath hold the tick's resolved routes.
@@ -197,7 +197,7 @@ func (h *harness) resolveTruth(t netsim.Time, edges []int) error {
 		h.fwdLnk[e], h.revLnk[e] = fp.Links, rp.Links
 		h.fwdHops[e], h.revHops[e] = fp.Hops(), rp.Hops()
 	}
-	return parallelFor(h.ctx, h.workers, len(missing), func(k int) {
+	return parallelFor(h.ctx, h.workers, len(missing), func(_, k int) {
 		e := missing[k]
 		if !h.fwdOK[e] {
 			return
@@ -225,16 +225,17 @@ func (h *harness) resolveTruth(t netsim.Time, edges []int) error {
 // drawSamples turns the planned probes into samples. Each probe's
 // randomness comes from its own generator keyed by (seed, edge,
 // sequence number), so the draws are independent of which worker
-// executes them.
+// executes them. The generator is the worker's probeRNG re-seeded, and
+// draws what rand.New(rand.NewSource(key)) would.
 func (h *harness) drawSamples(plan []int, seqs []uint64, samples []Sample) error {
-	return parallelFor(h.ctx, h.workers, len(plan), func(k int) {
+	return parallelFor(h.ctx, h.workers, len(plan), func(w, k int) {
 		e := plan[k]
 		tr := h.truth[e]
 		if !tr.ok {
 			samples[k] = Sample{Lost: true}
 			return
 		}
-		rng := rand.New(rand.NewSource(int64(mix64(uint64(h.cfg.Seed), uint64(e), seqs[k]))))
+		rng := h.rngs[w].reset(int64(mix64(uint64(h.cfg.Seed), uint64(e), seqs[k])))
 		if rng.Float64() < tr.loss {
 			samples[k] = Sample{Lost: true}
 			return
@@ -367,6 +368,10 @@ func (h *harness) run() (Result, error) {
 	h.downSince = make([]netsim.Time, M)
 	h.downRoute = make([]int, M)
 	h.res.Pairs = M
+	h.rngs = make([]*probeRNG, h.workers)
+	for w := range h.rngs {
+		h.rngs[w] = newProbeRNG()
+	}
 
 	allEdges := make([]int, M)
 	for e := range allEdges {

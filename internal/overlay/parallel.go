@@ -7,13 +7,14 @@ import (
 	"sync/atomic"
 )
 
-// parallelFor runs fn(i) for every i in [0, n) across at most workers
-// goroutines (one or fewer workers runs inline). Indices are handed out
+// parallelFor runs fn(worker, i) for every i in [0, n) across at most
+// workers goroutines (one or fewer workers runs inline); worker, in
+// [0, workers), lets fn use per-worker scratch. Indices are handed out
 // dynamically; callers get determinism by writing only to slot i of
 // pre-sized slices and reducing in index order afterwards — the same
 // contract as core's engine. Cancelling ctx stops handing out new
 // indices; in-flight items finish first.
-func parallelFor(ctx context.Context, workers, n int, fn func(i int)) error {
+func parallelFor(ctx context.Context, workers, n int, fn func(worker, i int)) error {
 	if workers > n {
 		workers = n
 	}
@@ -22,7 +23,7 @@ func parallelFor(ctx context.Context, workers, n int, fn func(i int)) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			fn(i)
+			fn(0, i)
 		}
 		return nil
 	}
@@ -30,16 +31,16 @@ func parallelFor(ctx context.Context, workers, n int, fn func(i int)) error {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n || ctx.Err() != nil {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	return ctx.Err()

@@ -2,8 +2,10 @@ package packetnet
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -209,6 +211,75 @@ func TestEchoOverConn(t *testing.T) {
 	}
 	if n.Now() <= 0 {
 		t.Fatal("simulated clock did not advance")
+	}
+}
+
+// TestEchoCloseThenAccept runs the echo exchange to its end, as an
+// accept loop does: both sides close, and the listener's next Accept
+// drives the FIN handshake to completion. Acknowledging a FIN's
+// sequence byte must not touch the send buffer, which holds data bytes
+// only.
+func TestEchoCloseThenAccept(t *testing.T) {
+	n := newNet(t, DefaultConfig())
+	srvHost, cliHost := pairHosts(t, 0, 1)
+	l, err := n.Listen(srvHost, 7)
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	served := make(chan error, 1)
+	var srv net.Conn
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		srv = c
+		_, err = io.Copy(c, c)
+		c.Close()
+		served <- err
+	}()
+
+	c, err := n.Dial(cliHost, srvHost, 7)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	msg := []byte("echo, then close")
+	if _, err := c.Write(msg); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	if _, err := io.ReadFull(c, make([]byte, len(msg))); err != nil {
+		t.Fatalf("ReadFull: %v", err)
+	}
+	c.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("echo server: %v", err)
+	}
+
+	accepted := make(chan error, 1)
+	go func() {
+		_, err := l.Accept()
+		accepted <- err
+	}()
+	// Accept is the only driver left: wait for it to run the event
+	// queue dry, then release it.
+	for {
+		n.mu.Lock()
+		idle := len(n.q) == 0
+		n.mu.Unlock()
+		if idle {
+			break
+		}
+		runtime.Gosched()
+	}
+	l.Close()
+	if err := <-accepted; !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Accept after Close: %v, want net.ErrClosed", err)
+	}
+	for name, ep := range map[string]*endpoint{"client": c.(*Conn).ep, "server": srv.(*Conn).ep} {
+		if !ep.finDelivered() || len(ep.sndBuf) != 0 {
+			t.Errorf("%s: FIN delivered %v, %d bytes left in the send buffer", name, ep.finDelivered(), len(ep.sndBuf))
+		}
 	}
 }
 

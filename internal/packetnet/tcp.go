@@ -296,8 +296,10 @@ func (ep *endpoint) onAck(ack uint64, wnd int) {
 		acked := float64(ack - ep.una)
 		ep.una = ack
 		if !ep.countSend {
-			ep.sndBuf = ep.sndBuf[ack-ep.bufSeq:]
-			ep.bufSeq = ack
+			// The FIN's sequence byte has no byte in sndBuf.
+			done := min(ack, ep.dataEnd)
+			ep.sndBuf = ep.sndBuf[done-ep.bufSeq:]
+			ep.bufSeq = done
 		}
 		if ep.timedValid && ack >= ep.timedSeq {
 			ep.rttSample(float64(ep.n.now - ep.timedAt))

@@ -4,9 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pathsel/internal/experiments"
@@ -142,6 +145,41 @@ func TestRouterPassesThrough500(t *testing.T) {
 		return
 	}
 	t.Fatal("no seed in 0..99 owned by buggy worker")
+}
+
+// TestRouterPanickingWorker checks that a handler panic on a worker
+// reaches the client as one 500: the worker recovers it and counts it,
+// and the router passes the 500 through instead of replaying the same
+// panic on the next worker.
+func TestRouterPanickingWorker(t *testing.T) {
+	workerReg := obs.NewRegistry()
+	var calls atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /api/table1", func(http.ResponseWriter, *http.Request) {
+		calls.Add(1)
+		panic("deterministic compute bug")
+	})
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	a := httptest.NewServer(obs.Instrument(workerReg, quiet, mux))
+	defer a.Close()
+	b := httptest.NewServer(obs.Instrument(workerReg, quiet, mux))
+	defer b.Close()
+	routerReg := obs.NewRegistry()
+	rt := NewRouter([]string{a.URL, b.URL}, experiments.Config{Seed: 1, Preset: experiments.Quick}, 2, routerReg)
+
+	rec := get(t, rt, "/api/table1")
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("handler ran %d times, want 1 forward attempt", n)
+	}
+	if n := routerReg.Counter("router_retries_total", "").Value(); n != 0 {
+		t.Errorf("router_retries_total = %d, want 0", n)
+	}
+	if n := workerReg.Counter("http_panics_total", "", "route", "GET /api/table1").Value(); n != 1 {
+		t.Errorf("http_panics_total = %d, want 1", n)
+	}
 }
 
 func TestRouterAllWorkersFailing(t *testing.T) {

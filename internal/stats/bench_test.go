@@ -55,6 +55,19 @@ func BenchmarkConvolve(b *testing.B) {
 	}
 }
 
+func BenchmarkConvolvedMedian(b *testing.B) {
+	d1 := NewDist(benchSamples(300)).Thin(ConvolutionPoints)
+	d2 := NewDist(benchSamples(300)).Thin(ConvolutionPoints)
+	var buf []float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if _, buf, err = d1.ConvolvedMedian(d2, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCDFFractionBelow(b *testing.B) {
 	c := NewCDF(benchSamples(2000))
 	b.ResetTimer()

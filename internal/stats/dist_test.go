@@ -145,6 +145,80 @@ func TestConvolveCommutativeMedian(t *testing.T) {
 	}
 }
 
+// TestConvolvedMedianMatchesConvolve checks the order-statistic kernel
+// against the full convolution bit for bit: input sizes on both sides
+// of ConvolutionPoints, cross products on both sides of the thinned
+// result's size, one-point inputs, heavy ties, negative values, and
+// inputs whose sums hit NaN or a signed zero (the sort fallback).
+func TestConvolvedMedianMatchesConvolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	sample := func(n int, ties bool) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			if ties {
+				out[i] = float64(rng.Intn(6)) * 2.5
+			} else {
+				out[i] = 20 + rng.ExpFloat64()*30 - 5*rng.Float64()
+			}
+		}
+		return out
+	}
+	size := func() int {
+		switch r := rng.Intn(20); {
+		case r == 0:
+			return 1
+		case r == 1:
+			return 200 + rng.Intn(100) // around ConvolutionPoints
+		case r < 8:
+			return 25 + rng.Intn(20) // products around convolutionKeep
+		default:
+			return 1 + rng.Intn(120)
+		}
+	}
+	check := func(name string, a, b Dist, buf []float64) []float64 {
+		t.Helper()
+		c, err := a.Convolve(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := c.Median()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, buf, err := a.ConvolvedMedian(b, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: %d x %d points: ConvolvedMedian %v (%#x), Convolve+Median %v (%#x)",
+				name, a.N(), b.N(), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		return buf
+	}
+	var buf []float64
+	for i := 0; i < 3000; i++ {
+		ties := rng.Intn(3) == 0
+		buf = check("random", NewDist(sample(size(), ties)), NewDist(sample(size(), ties)), buf)
+	}
+	for _, n := range [][2]int{{1, 1}, {1, 1024}, {32, 32}, {32, 33}, {256, 256}, {257, 300}, {1, 1025}} {
+		buf = check("edge", NewDist(sample(n[0], false)), NewDist(sample(n[1], false)), buf)
+	}
+	withNaN := sample(40, false)
+	withNaN[7] = math.NaN()
+	buf = check("nan", NewDist(withNaN), NewDist(sample(40, false)), buf)
+	// Sums of -0 and +0 inputs mix both zeros around the median.
+	zeros := []float64{math.Copysign(0, -1), 0, 1, -1}
+	for i := 0; i < 200; i++ {
+		a, b := make([]float64, 1+rng.Intn(40)), make([]float64, 1+rng.Intn(40))
+		for _, s := range [][]float64{a, b} {
+			for j := range s {
+				s[j] = zeros[rng.Intn(len(zeros))]
+			}
+		}
+		buf = check("signed zero", NewDist(a), NewDist(b), buf)
+	}
+}
+
 func TestCDFBasics(t *testing.T) {
 	c := NewCDF([]float64{10, -5, 0, 20})
 	if c.N() != 4 {

@@ -210,15 +210,24 @@ func quantileSorted(s []float64, q float64) float64 {
 	if len(s) == 1 {
 		return s[0]
 	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
+	lo, hi, frac := quantilePos(len(s), q)
 	if lo == hi {
 		return s[lo]
 	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return lerp(s[lo], s[hi], frac)
 }
+
+// quantilePos returns the two ranks the q-quantile of n > 1 sorted
+// values interpolates between, and the weight of the upper one.
+func quantilePos(n int, q float64) (lo, hi int, frac float64) {
+	pos := q * float64(n-1)
+	lo = int(math.Floor(pos))
+	hi = int(math.Ceil(pos))
+	return lo, hi, pos - float64(lo)
+}
+
+// lerp interpolates between x (weight 1-frac) and y (weight frac).
+func lerp(x, y, frac float64) float64 { return x*(1-frac) + y*frac }
 
 // Median returns the sample median.
 func Median(data []float64) (float64, error) { return Quantile(data, 0.5) }
