@@ -493,6 +493,7 @@ func BenchmarkProbeTraceroute(b *testing.B) {
 	s := benchSuite(b)
 	_, prober := s.UWPlane()
 	src, dst := s.UW3.Hosts[0], s.UW3.Hosts[1]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := prober.Traceroute(src, dst, netsim.Time(i%86400)); err != nil {

@@ -105,11 +105,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fs, err := ns.EvalHostPath(src, dst, path.Links, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rs, err := ns.EvalHostPath(dst, src, rev.Links, 0)
+	fs, rs, err := ns.EvalRoundTrip(src, dst, path.Links, rev.Links, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

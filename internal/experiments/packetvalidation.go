@@ -157,12 +157,7 @@ func ValidatePacketLevel(s *Suite) (PacketValidation, error) {
 	run := func(i int) {
 		j := jobs[i]
 		// Model inputs: the two-way netsim path state at the window.
-		fs, err := ns.EvalHostPath(j.src.Src, j.src.Dst, j.src.Links, pvPeakTime)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		rs, err := ns.EvalHostPath(j.rev.Src, j.rev.Dst, j.rev.Links, pvPeakTime)
+		fs, rs, err := ns.EvalRoundTrip(j.src.Src, j.src.Dst, j.src.Links, j.rev.Links, pvPeakTime)
 		if err != nil {
 			errs[i] = err
 			return

@@ -77,11 +77,7 @@ func validationSampleTimes() []netsim.Time {
 func trueRTT(net *netsim.Network, fwdPath, revPath forward.Path, src, dst topology.HostID, times []netsim.Time) (float64, error) {
 	var acc stats.Accum
 	for _, t := range times {
-		fst, err := net.EvalHostPath(src, dst, fwdPath.Links, t)
-		if err != nil {
-			return 0, err
-		}
-		rst, err := net.EvalHostPath(dst, src, revPath.Links, t)
+		fst, rst, err := net.EvalRoundTrip(src, dst, fwdPath.Links, revPath.Links, t)
 		if err != nil {
 			return 0, err
 		}

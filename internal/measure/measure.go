@@ -245,11 +245,14 @@ func recordResult(ds *dataset.Dataset, res probe.Result, keep int) {
 	if res.Failed {
 		return
 	}
-	rtts := make([]float64, len(res.Samples))
-	lost := make([]bool, len(res.Samples))
-	for i, s := range res.Samples {
-		rtts[i] = s.RTTMs
-		lost[i] = s.Lost
+	// A traceroute's samples fit the stack buffers; RecordEcho copies
+	// what it keeps.
+	var rttBuf [probe.SamplesPerTraceroute]float64
+	var lostBuf [probe.SamplesPerTraceroute]bool
+	rtts, lost := rttBuf[:0], lostBuf[:0]
+	for _, s := range res.Samples {
+		rtts = append(rtts, s.RTTMs)
+		lost = append(lost, s.Lost)
 	}
 	ds.RecordEcho(dataset.PairKey{Src: res.Src, Dst: res.Dst}, res.At, rtts, lost, res.ASPath, keep)
 }

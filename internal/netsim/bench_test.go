@@ -59,6 +59,27 @@ func BenchmarkEvalHostPath(b *testing.B) {
 	}
 }
 
+// BenchmarkEvalRoundTrip times the round trip of BenchmarkEvalHostPath's
+// path and its reverse twin links, the call every echo makes; compare
+// it with two BenchmarkEvalHostPath calls.
+func BenchmarkEvalRoundTrip(b *testing.B) {
+	top, n := benchNetwork(b)
+	fwd := make([]topology.LinkID, 20)
+	for i := range fwd {
+		fwd[i] = top.Links[(i*37)%len(top.Links)].ID
+	}
+	rev := reverseLinks(top, fwd)
+	src, dst := top.Hosts[0].ID, top.Hosts[1].ID
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fst, rst, err := n.EvalRoundTrip(src, dst, fwd, rev, Time(i%86400))
+		if err != nil || fst.DelayMs <= 0 || rst.DelayMs <= 0 {
+			b.Fatal("no delay", err)
+		}
+	}
+}
+
 func BenchmarkSampleDelay(b *testing.B) {
 	_, n := benchNetwork(b)
 	rng := rand.New(rand.NewSource(1))

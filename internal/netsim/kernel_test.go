@@ -381,3 +381,123 @@ func TestEvalHostPathAllocatesNothing(t *testing.T) {
 		t.Errorf("EvalHostPath allocates %v times per call, want 0", allocs)
 	}
 }
+
+// walkLinks follows up to hops random out-links from router start, the
+// shape of a forwarding path: runs of PoP-internal links between
+// inter-AS hops.
+func walkLinks(top *topology.Topology, start topology.RouterID, hops int, rng *rand.Rand) []topology.LinkID {
+	var out []topology.LinkID
+	cur := start
+	for len(out) < hops {
+		outs := top.OutLinks(cur)
+		if len(outs) == 0 {
+			break
+		}
+		lid := outs[rng.Intn(len(outs))]
+		out = append(out, lid)
+		cur = top.Link(lid).To
+	}
+	return out
+}
+
+// reverseLinks returns the links that retrace links backwards, the
+// symmetric reverse path, skipping any link without a reverse twin.
+func reverseLinks(top *topology.Topology, links []topology.LinkID) []topology.LinkID {
+	var out []topology.LinkID
+	for i := len(links) - 1; i >= 0; i-- {
+		l := top.Link(links[i])
+		for _, rid := range top.OutLinks(l.To) {
+			if top.Link(rid).To == l.From {
+				out = append(out, rid)
+				break
+			}
+		}
+	}
+	return out
+}
+
+func TestEvalRoundTripMatchesReference(t *testing.T) {
+	times := kernelTimes()
+	for _, q := range quickPlanes(t) {
+		// At the configured access load every access link sits at the
+		// loss floor, so both endpoints' losses are equal; the hot
+		// variant pushes access links past the loss knee, where the
+		// order the two are multiplied in shows in the bits.
+		for _, v := range []struct {
+			wander, access float64
+		}{{q.cfg.RouteWanderAmp, q.cfg.UtilAccess}, {0, q.cfg.UtilAccess}, {q.cfg.RouteWanderAmp, 0.85}} {
+			cfg := q.cfg
+			cfg.RouteWanderAmp, cfg.UtilAccess = v.wander, v.access
+			n, ref := New(q.top, cfg), &refModel{top: q.top, cfg: cfg}
+			label := fmt.Sprintf("%s wander=%g access=%g", q.name, v.wander, v.access)
+			rng := rand.New(rand.NewSource(11))
+			hosts := q.top.Hosts
+			for i := 0; i < 12; i++ {
+				hs, hd := hosts[i%len(hosts)], hosts[(i*5+3)%len(hosts)]
+				fwd := walkLinks(q.top, hs.Attach, 12, rng)
+				sym := reverseLinks(q.top, fwd)
+				if len(sym) != len(fwd) {
+					t.Fatalf("%s: %d of %d links have a reverse twin", label, len(sym), len(fwd))
+				}
+				asym := walkLinks(q.top, hd.Attach, 9, rng)
+				for _, c := range []struct {
+					name     string
+					fwd, rev []topology.LinkID
+				}{
+					{"symmetric", fwd, sym},
+					{"asymmetric", fwd, asym},
+					{"empty-forward", nil, asym},
+					{"empty-reverse", fwd, nil},
+					{"both-empty", nil, nil},
+				} {
+					for _, tm := range times {
+						gotF, gotR, err := n.EvalRoundTrip(hs.ID, hd.ID, c.fwd, c.rev, tm)
+						if err != nil {
+							t.Fatal(err)
+						}
+						wantF, _ := ref.EvalHostPath(hs.ID, hd.ID, c.fwd, tm)
+						wantR, _ := ref.EvalHostPath(hd.ID, hs.ID, c.rev, tm)
+						for _, d := range []struct {
+							dir       string
+							got, want PathState
+						}{{"forward", gotF, wantF}, {"reverse", gotR, wantR}} {
+							if !sameBits(d.got.DelayMs, d.want.DelayMs) || !sameBits(d.got.PropDelayMs, d.want.PropDelayMs) ||
+								!sameBits(d.got.LossProb, d.want.LossProb) {
+								t.Fatalf("%s %s %d->%d %s at %v: EvalRoundTrip %+v, reference %+v",
+									label, c.name, hs.ID, hd.ID, d.dir, tm, d.got, d.want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	q := quickPlanes(t)[0]
+	n := New(q.top, q.cfg)
+	known := q.top.Hosts[0].ID
+	for _, pair := range [][2]topology.HostID{{-1, known}, {known, topology.HostID(len(q.top.Hosts) + 100)}} {
+		if _, _, err := n.EvalRoundTrip(pair[0], pair[1], nil, nil, 0); err == nil {
+			t.Errorf("EvalRoundTrip(%d, %d): no error for an unknown host", pair[0], pair[1])
+		}
+	}
+}
+
+func TestEvalRoundTripAllocatesNothing(t *testing.T) {
+	top, n := testNetwork(t)
+	fwd, rev := make([]topology.LinkID, 20), make([]topology.LinkID, 20)
+	for i := range fwd {
+		fwd[i] = top.Links[(i*37)%len(top.Links)].ID
+		rev[i] = top.Links[(i*41+5)%len(top.Links)].ID
+	}
+	src, dst := top.Hosts[0].ID, top.Hosts[1].ID
+	tm := Time(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		tm += 97
+		if _, _, err := n.EvalRoundTrip(src, dst, fwd, rev, tm); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("EvalRoundTrip allocates %v times per call, want 0", allocs)
+	}
+}

@@ -179,10 +179,11 @@ func (c Config) Validate() error {
 // Network evaluates link and path performance at simulated times.
 //
 // Every link quantity is computed by one kernel, linkAt (accessAt for
-// host access links), from two precomputed inputs: the per-link static
-// table built in New and a clock holding the terms that depend only on
-// the time. The public per-quantity methods are thin wrappers over that
-// kernel, so each formula exists exactly once.
+// host access links), from three precomputed inputs: the per-link static
+// table built in New, a clock holding the terms that depend only on the
+// time, and the link's diurnal activity. The public per-quantity methods
+// are thin wrappers over that kernel, so each formula exists exactly
+// once.
 type Network struct {
 	top *topology.Topology
 	cfg Config
@@ -326,17 +327,17 @@ type LinkState struct {
 // LinkState evaluates every quantity of a link at time t in one pass.
 func (n *Network) LinkState(lid topology.LinkID, t Time) LinkState {
 	c := n.clockAt(t)
-	return n.linkAt(lid, &c)
+	return n.linkAt(lid, &c, n.activity(&c, n.links[lid].hourOff))
 }
 
 // linkAt is the link kernel: it computes the link's utilization once
-// and derives the delays and loss from it.
+// and derives the delays and loss from it. act is the link's activity
+// at the clock's time, n.activity(c, hourOff).
 //
 //repolint:hotpath
-func (n *Network) linkAt(lid topology.LinkID, c *clock) LinkState {
+func (n *Network) linkAt(lid topology.LinkID, c *clock, act float64) LinkState {
 	s := &n.links[lid]
 	cfg := &n.cfg
-	act := n.activity(c, s.hourOff)
 	day := cfg.NightFloor + (1-cfg.NightFloor)*act
 	u := s.baseUtil * day
 
@@ -422,12 +423,12 @@ func (n *Network) LinkDelayMs(lid topology.LinkID, t Time) float64 {
 
 // accessAt is the access-link kernel: it models a host's access link
 // as a synthetic link-like process keyed by the host ID, and returns
-// its one-way delay (fixed plus expected queuing) and loss.
+// its one-way delay (fixed plus expected queuing) and loss. act is the
+// host's activity at the clock's time, n.activity(c, hostHourOff(h)).
 //
 //repolint:hotpath
-func (n *Network) accessAt(h *topology.Host, c *clock) (delayMs, loss float64) {
+func (n *Network) accessAt(h *topology.Host, c *clock, act float64) (delayMs, loss float64) {
 	cfg := &n.cfg
-	act := n.activity(c, (h.Loc.LonDeg+120)/15)
 	u := cfg.UtilAccess * (cfg.NightFloor + (1-cfg.NightFloor)*act)
 	id := uint64(h.ID) + 0x9000000
 	u += cfg.DriftAmp * (c.drift.at(uint64(cfg.Seed)^0x1212, id) - 0.5) * 2
@@ -448,21 +449,67 @@ type PathState struct {
 	LossProb float64
 }
 
-// EvalLinks computes the instantaneous one-way state of a sequence of
-// links at time t, without any host access links.
-func (n *Network) EvalLinks(links []topology.LinkID, t Time) PathState {
-	c := n.clockAt(t)
-	return n.evalLinks(links, &c)
+// hostHourOff is a host's local-time offset from PST in hours.
+func hostHourOff(h *topology.Host) float64 { return (h.Loc.LonDeg + 120) / 15 }
+
+// actMemoSize is the number of slots in an activity memo; a power of
+// two at least the number of distinct local-time offsets a typical
+// round trip crosses.
+const actMemoSize = 32
+
+// actMemo caches activity values for one clock, keyed by the bits of a
+// local-time offset. activity is a pure function of (clock, offset), so
+// a hit returns the very float a recomputation would. Offsets repeat
+// within a round trip: a link and its reverse have bitwise-equal
+// hourOff because (a+b)/2 == (b+a)/2, the links inside a PoP share
+// their routers' offset, and both directions cross the same access
+// links. The memo is direct-mapped: a colliding offset evicts the
+// slot's previous entry, which costs a recomputation, never a wrong
+// value.
+type actMemo struct {
+	used uint32 // bit i set when slot i holds an entry
+	key  [actMemoSize]uint64
+	val  [actMemoSize]float64
 }
 
-// evalLinks is EvalLinks on a clock already evaluated for the time.
+// pathEval evaluates paths at one instant: the clock and the activity
+// memo are shared by every link and access link it evaluates.
+type pathEval struct {
+	n    *Network
+	c    clock
+	memo actMemo
+}
+
+// init readies e for time t. It fills e in place rather than returning
+// a pathEval, which would copy the memo.
+func (e *pathEval) init(n *Network, t Time) {
+	e.n, e.c = n, n.clockAt(t)
+}
+
+// activity is n.activity at e's clock, served from the memo when the
+// offset has been seen.
 //
 //repolint:hotpath
-func (n *Network) evalLinks(links []topology.LinkID, c *clock) PathState {
+func (e *pathEval) activity(hourOff float64) float64 {
+	b := math.Float64bits(hourOff)
+	i := (b * 0x9E3779B97F4A7C15) >> 59 // top 5 bits: actMemoSize slots
+	if e.memo.used&(1<<i) != 0 && e.memo.key[i] == b {
+		return e.memo.val[i]
+	}
+	a := e.n.activity(&e.c, hourOff)
+	e.memo.used |= 1 << i
+	e.memo.key[i], e.memo.val[i] = b, a
+	return a
+}
+
+// links sums the one-way state of a sequence of links.
+//
+//repolint:hotpath
+func (e *pathEval) links(links []topology.LinkID) PathState {
 	st := PathState{}
 	surv := 1.0
 	for _, lid := range links {
-		ls := n.linkAt(lid, c)
+		ls := e.n.linkAt(lid, &e.c, e.activity(e.n.links[lid].hourOff))
 		st.PropDelayMs += ls.PropMs
 		st.DelayMs += ls.PropMs + ls.QueueMs
 		surv *= 1 - ls.Loss
@@ -471,21 +518,66 @@ func (n *Network) evalLinks(links []topology.LinkID, c *clock) PathState {
 	return st
 }
 
+// access is the access-link state of h.
+func (e *pathEval) access(h *topology.Host) (delayMs, loss float64) {
+	return e.n.accessAt(h, &e.c, e.activity(hostHourOff(h)))
+}
+
+// EvalLinks computes the instantaneous one-way state of a sequence of
+// links at time t, without any host access links.
+func (n *Network) EvalLinks(links []topology.LinkID, t Time) PathState {
+	var e pathEval
+	e.init(n, t)
+	return e.links(links)
+}
+
 // EvalHostPath computes the one-way state of a host-to-host path,
-// including both access links.
+// including both access links. A round trip is cheaper as one
+// EvalRoundTrip than as two EvalHostPath calls.
 func (n *Network) EvalHostPath(src, dst topology.HostID, links []topology.LinkID, t Time) (PathState, error) {
 	hs, hd := n.top.Host(src), n.top.Host(dst)
 	if hs == nil || hd == nil {
 		return PathState{}, fmt.Errorf("netsim: unknown host %d or %d", src, dst)
 	}
-	c := n.clockAt(t)
-	st := n.evalLinks(links, &c)
-	sd, sl := n.accessAt(hs, &c)
-	dd, dl := n.accessAt(hd, &c)
+	var e pathEval
+	e.init(n, t)
+	st := e.links(links)
+	sd, sl := e.access(hs)
+	dd, dl := e.access(hd)
 	st.DelayMs += sd + dd
 	st.PropDelayMs += hs.AccessDelayMs + hd.AccessDelayMs
 	st.LossProb = 1 - (1-st.LossProb)*(1-sl)*(1-dl)
 	return st, nil
+}
+
+// EvalRoundTrip computes the one-way states of a round trip at time t:
+// fwdState over fwd from src to dst and revState over rev from dst back
+// to src. Each is bit-identical to the matching EvalHostPath call, but
+// the clock, both access links and every activity value the two
+// directions share are evaluated once.
+//
+//repolint:hotpath
+func (n *Network) EvalRoundTrip(src, dst topology.HostID, fwd, rev []topology.LinkID, t Time) (fwdState, revState PathState, err error) {
+	hs, hd := n.top.Host(src), n.top.Host(dst)
+	if hs == nil || hd == nil {
+		//repolint:allow hotalloc -- the error path only; a known pair allocates nothing
+		return PathState{}, PathState{}, fmt.Errorf("netsim: unknown host %d or %d", src, dst)
+	}
+	var e pathEval
+	e.init(n, t)
+	fwdState = e.links(fwd)
+	revState = e.links(rev)
+	sd, sl := e.access(hs)
+	dd, dl := e.access(hd)
+	// Each direction adds its own source's access terms first, as
+	// EvalHostPath does, so the sums round identically.
+	fwdState.DelayMs += sd + dd
+	fwdState.PropDelayMs += hs.AccessDelayMs + hd.AccessDelayMs
+	fwdState.LossProb = 1 - (1-fwdState.LossProb)*(1-sl)*(1-dl)
+	revState.DelayMs += dd + sd
+	revState.PropDelayMs += hd.AccessDelayMs + hs.AccessDelayMs
+	revState.LossProb = 1 - (1-revState.LossProb)*(1-dl)*(1-sl)
+	return fwdState, revState, nil
 }
 
 // HostAccessState exposes the access-link model by host ID, for the
@@ -498,7 +590,7 @@ func (n *Network) HostAccessState(id topology.HostID, t Time) (delayMs, loss flo
 		return 0, 0, false
 	}
 	c := n.clockAt(t)
-	d, l := n.accessAt(h, &c)
+	d, l := n.accessAt(h, &c, n.activity(&c, hostHourOff(h)))
 	return d, l, true
 }
 

@@ -117,6 +117,11 @@ func NewRegistry() *Registry {
 	return &Registry{byKey: map[string]*metric{}}
 }
 
+// labelEscaper escapes label values per the text format. A Replacer
+// is safe for concurrent use, and building one costs far more than
+// using it, so every registration shares this one.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+
 // renderLabels formats label key/value pairs deterministically. pairs
 // alternates key, value; values are escaped per the text format.
 func renderLabels(pairs []string) string {
@@ -132,8 +137,10 @@ func renderLabels(pairs []string) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		v := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`).Replace(pairs[i+1])
-		fmt.Fprintf(&b, `%s="%s"`, pairs[i], v)
+		b.WriteString(pairs[i])
+		b.WriteString(`="`)
+		labelEscaper.WriteString(&b, pairs[i+1])
+		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()

@@ -43,6 +43,9 @@ type Controller struct {
 	switches   int
 	outages    int
 
+	// scratch holds one candidate-selection buffer per Decide worker.
+	scratch []relayScratch
+
 	metrics *Metrics
 }
 
@@ -201,46 +204,58 @@ func (c *Controller) routeScore(p, route int, now netsim.Time) float64 {
 	return s
 }
 
+// relayScratch is one Decide worker's candidate-selection buffers. As
+// a sort.Interface it orders order by score; sort.Stable runs the same
+// algorithm as sort.SliceStable, without a closure to allocate.
+type relayScratch struct {
+	relays []int     // candidate relay node indices, ascending
+	scores []float64 // route score through relays[k]
+	order  []int     // indices into relays, sorted by score
+	out    []int     // the kept relays, ascending
+}
+
+func (s *relayScratch) Len() int           { return len(s.order) }
+func (s *relayScratch) Less(a, b int) bool { return s.scores[s.order[a]] < s.scores[s.order[b]] }
+func (s *relayScratch) Swap(a, b int)      { s.order[a], s.order[b] = s.order[b], s.order[a] }
+
 // candidateRelays returns the relay node indices pair p may consider,
 // in ascending node order, restricted to the MaxCandidates best by
-// current score when the bound is set.
-func (c *Controller) candidateRelays(p int, now netsim.Time) []int {
+// current score when the bound is set. The result lives in s and is
+// valid until s is used again.
+func (c *Controller) candidateRelays(p int, now netsim.Time, s *relayScratch) []int {
 	ij := c.mesh.pairs[p]
-	relays := make([]int, 0, c.mesh.n-2)
+	s.relays = s.relays[:0]
 	for r := 0; r < c.mesh.n; r++ {
 		if r != ij[0] && r != ij[1] {
-			relays = append(relays, r)
+			s.relays = append(s.relays, r)
 		}
 	}
-	if c.cfg.MaxCandidates <= 0 || len(relays) <= c.cfg.MaxCandidates {
-		return relays
+	if c.cfg.MaxCandidates <= 0 || len(s.relays) <= c.cfg.MaxCandidates {
+		return s.relays
 	}
-	scores := make([]float64, len(relays))
-	for k, r := range relays {
-		scores[k] = c.routeScore(p, r, now)
+	s.scores, s.order = s.scores[:0], s.order[:0]
+	for k, r := range s.relays {
+		s.scores = append(s.scores, c.routeScore(p, r, now))
+		s.order = append(s.order, k)
 	}
-	order := make([]int, len(relays))
-	for k := range order {
-		order[k] = k
-	}
-	sort.SliceStable(order, func(a, b int) bool { return scores[order[a]] < scores[order[b]] })
-	kept := append([]int(nil), order[:c.cfg.MaxCandidates]...)
+	sort.Stable(s)
+	kept := s.order[:c.cfg.MaxCandidates]
 	sort.Ints(kept)
-	out := make([]int, len(kept))
-	for k, idx := range kept {
-		out[k] = relays[idx]
+	s.out = s.out[:0]
+	for _, idx := range kept {
+		s.out = append(s.out, s.relays[idx])
 	}
-	return out
+	return s.out
 }
 
 // decideOne computes pair p's next route. Ordinary switches require
 // the challenger to undercut the incumbent by the hysteresis margin;
 // forced decisions (current route down) take the best eligible route
 // outright, or hold position when nothing eligible exists yet.
-func (c *Controller) decideOne(p int, now netsim.Time) int {
+func (c *Controller) decideOne(p int, now netsim.Time, scratch *relayScratch) int {
 	cur := c.routes[p]
 	best, bestScore := Direct, c.routeScore(p, Direct, now)
-	for _, r := range c.candidateRelays(p, now) {
+	for _, r := range c.candidateRelays(p, now, scratch) {
 		if s := c.routeScore(p, r, now); s < bestScore {
 			best, bestScore = r, s
 		}
@@ -273,8 +288,12 @@ func (c *Controller) decideOne(p int, now netsim.Time) int {
 // switches made this tick.
 func (c *Controller) Decide(ctx context.Context, now netsim.Time) (int, error) {
 	next := make([]int, len(c.routes))
-	err := parallelFor(ctx, autoWorkers(c.cfg.Concurrency), len(c.routes), func(_, p int) {
-		next[p] = c.decideOne(p, now)
+	workers := autoWorkers(c.cfg.Concurrency)
+	if len(c.scratch) < workers {
+		c.scratch = make([]relayScratch, workers)
+	}
+	err := parallelFor(ctx, workers, len(c.routes), func(w, p int) {
+		next[p] = c.decideOne(p, now, &c.scratch[w])
 	})
 	if err != nil {
 		return 0, err

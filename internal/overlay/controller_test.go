@@ -2,6 +2,8 @@ package overlay
 
 import (
 	"context"
+	"slices"
+	"sort"
 	"testing"
 
 	"pathsel/internal/netsim"
@@ -203,8 +205,63 @@ func TestMaxCandidatesRestrictsRelays(t *testing.T) {
 	rtts[m.edge(0, 2)], rtts[m.edge(2, 1)] = 20, 20
 	rtts[m.edge(0, 4)], rtts[m.edge(4, 1)] = 40, 40
 	warm(c, 0, rtts)
-	cands := c.candidateRelays(p, 0)
+	cands := c.candidateRelays(p, 0, &relayScratch{})
 	if len(cands) != 1 || cands[0] != 3 {
 		t.Fatalf("candidateRelays = %v, want [3]", cands)
+	}
+}
+
+// refCandidateRelays is the candidate selection over freshly allocated
+// slices and sort.SliceStable, the reference the scratch-based
+// candidateRelays must match.
+func refCandidateRelays(c *Controller, p int, now netsim.Time) []int {
+	ij := c.mesh.pairs[p]
+	var relays []int
+	for r := 0; r < c.mesh.n; r++ {
+		if r != ij[0] && r != ij[1] {
+			relays = append(relays, r)
+		}
+	}
+	if c.cfg.MaxCandidates <= 0 || len(relays) <= c.cfg.MaxCandidates {
+		return relays
+	}
+	scores := make([]float64, len(relays))
+	order := make([]int, len(relays))
+	for k, r := range relays {
+		scores[k] = c.routeScore(p, r, now)
+		order[k] = k
+	}
+	sort.SliceStable(order, func(a, b int) bool { return scores[order[a]] < scores[order[b]] })
+	kept := append([]int(nil), order[:c.cfg.MaxCandidates]...)
+	sort.Ints(kept)
+	out := make([]int, len(kept))
+	for k, idx := range kept {
+		out[k] = relays[idx]
+	}
+	return out
+}
+
+// TestCandidateRelaysMatchesReference checks the selection, ties and
+// unprobed (+Inf) legs included, with one scratch reused across pairs.
+func TestCandidateRelaysMatchesReference(t *testing.T) {
+	for _, maxCand := range []int{0, 1, 3, 7, 20} {
+		c := testController(t, 30, func(cfg *Config) { cfg.MaxCandidates = maxCand })
+		var plan []int
+		var samples []Sample
+		for e := 0; e < c.mesh.edges(); e++ {
+			if e%7 == 3 {
+				continue // never probed: routes over it score +Inf
+			}
+			plan = append(plan, e)
+			samples = append(samples, Sample{RTTMs: float64(5 * (e % 4))}) // many ties
+		}
+		c.Ingest(0, plan, samples)
+		var s relayScratch
+		for p := 0; p < c.mesh.edges(); p++ {
+			got, want := c.candidateRelays(p, 0, &s), refCandidateRelays(c, p, 0)
+			if !slices.Equal(got, want) {
+				t.Fatalf("MaxCandidates=%d pair %d: candidateRelays = %v, want %v", maxCand, p, got, want)
+			}
+		}
 	}
 }

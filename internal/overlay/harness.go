@@ -204,9 +204,8 @@ func (h *harness) resolveTruth(t netsim.Time, edges []int) error {
 		}
 		ij := h.mesh.pairs[e]
 		src, dst := h.cond.Nodes[ij[0]], h.cond.Nodes[ij[1]]
-		fst, errF := h.cond.Net.EvalHostPath(src, dst, h.fwdLnk[e], t)
-		rst, errR := h.cond.Net.EvalHostPath(dst, src, h.revLnk[e], t)
-		if errF != nil || errR != nil {
+		fst, rst, err := h.cond.Net.EvalRoundTrip(src, dst, h.fwdLnk[e], h.revLnk[e], t)
+		if err != nil {
 			h.truth[e] = edgeTruth{}
 			return
 		}

@@ -69,6 +69,8 @@ type Result struct {
 	// destination). Empty for pings.
 	HopRouters []topology.RouterID
 	// ASPath is the forward AS-level path (derived from HopRouters).
+	// Like HopRouters it is shared with later results over the same
+	// forwarding path and must not be modified.
 	ASPath []topology.ASN
 }
 
@@ -113,6 +115,20 @@ type Prober struct {
 	net   *netsim.Network
 	cfg   Config
 	rng   *rand.Rand
+	// asPaths holds, per ordered pair, the AS path of the last forward
+	// path a traceroute revealed, so it is derived once per forwarding
+	// path rather than once per traceroute.
+	asPaths map[[2]topology.HostID]asPathMemo
+}
+
+// asPathMemo is the AS path of one forwarding path, identified by its
+// Routers slice. Path providers hand out memoized paths whose slices
+// are never modified, so the same backing array means the same path; a
+// provider that changes a pair's path (a dynamics timeline crossing an
+// epoch) hands out a different array, and the AS path is derived again.
+type asPathMemo struct {
+	routers []topology.RouterID
+	as      []topology.ASN
 }
 
 // New creates a Prober over a static converged forwarding plane.
@@ -125,8 +141,21 @@ func New(top *topology.Topology, fwd *forward.Forwarder, net *netsim.Network, cf
 func NewWithProvider(top *topology.Topology, paths PathProvider, net *netsim.Network, cfg Config) *Prober {
 	return &Prober{
 		top: top, paths: paths, net: net, cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		asPaths: map[[2]topology.HostID]asPathMemo{},
 	}
+}
+
+// asPath returns the AS path of fp, the forwarding path from src to dst.
+func (p *Prober) asPath(src, dst topology.HostID, fp forward.Path) []topology.ASN {
+	key := [2]topology.HostID{src, dst}
+	m, ok := p.asPaths[key]
+	if ok && len(m.routers) == len(fp.Routers) && (len(fp.Routers) == 0 || &m.routers[0] == &fp.Routers[0]) {
+		return m.as
+	}
+	m = asPathMemo{routers: fp.Routers, as: fp.ASPath(p.top)}
+	p.asPaths[key] = m
+	return m.as
 }
 
 // path returns the forwarding path between two hosts at time t.
@@ -136,11 +165,7 @@ func (p *Prober) path(src, dst topology.HostID, at netsim.Time) (forward.Path, e
 
 // echo draws one echo sample over the forward and reverse paths at time t.
 func (p *Prober) echo(fwdPath, revPath forward.Path, src, dst topology.HostID, t netsim.Time) (Sample, error) {
-	fst, err := p.net.EvalHostPath(src, dst, fwdPath.Links, t)
-	if err != nil {
-		return Sample{}, err
-	}
-	rst, err := p.net.EvalHostPath(dst, src, revPath.Links, t)
+	fst, rst, err := p.net.EvalRoundTrip(src, dst, fwdPath.Links, revPath.Links, t)
 	if err != nil {
 		return Sample{}, err
 	}
@@ -179,7 +204,8 @@ func (p *Prober) Traceroute(src, dst topology.HostID, t netsim.Time) (Result, er
 		return res, nil
 	}
 	res.HopRouters = fwdPath.Routers
-	res.ASPath = fwdPath.ASPath(p.top)
+	res.ASPath = p.asPath(src, dst, fwdPath)
+	res.Samples = make([]Sample, 0, SamplesPerTraceroute)
 
 	rateLimited := p.top.Host(dst).RateLimitICMP
 	// Successive samples are a few seconds apart (each TTL round takes
@@ -261,11 +287,7 @@ func (p *Prober) Transfer(src, dst topology.HostID, t netsim.Time) (TransferResu
 	perState := p.cfg.TransferPackets / states
 	for k := 0; k < states; k++ {
 		at := t + netsim.Time(float64(k)*8)
-		fst, err := p.net.EvalHostPath(src, dst, fwdPath.Links, at)
-		if err != nil {
-			return TransferResult{}, err
-		}
-		rst, err := p.net.EvalHostPath(dst, src, revPath.Links, at)
+		fst, rst, err := p.net.EvalRoundTrip(src, dst, fwdPath.Links, revPath.Links, at)
 		if err != nil {
 			return TransferResult{}, err
 		}

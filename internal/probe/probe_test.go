@@ -2,6 +2,7 @@ package probe
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"pathsel/internal/bgp"
@@ -13,6 +14,8 @@ import (
 
 type fixture struct {
 	top *topology.Topology
+	fwd *forward.Forwarder
+	net *netsim.Network
 	prb *Prober
 }
 
@@ -33,7 +36,7 @@ func newFixture(t *testing.T, mutate func(*Config)) *fixture {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	return &fixture{top: top, prb: New(top, fwd, net, cfg)}
+	return &fixture{top: top, fwd: fwd, net: net, prb: New(top, fwd, net, cfg)}
 }
 
 func pickHost(t *testing.T, fx *fixture, rateLimited bool, exclude topology.HostID) *topology.Host {
@@ -265,5 +268,83 @@ func TestPeakHoursSlower(t *testing.T) {
 	night := meanAt(3)
 	if peak <= night {
 		t.Errorf("peak RTT %f should exceed night RTT %f", peak, night)
+	}
+}
+
+func TestTracerouteAllocsWithWarmPathCache(t *testing.T) {
+	fx := newFixture(t, func(c *Config) { c.ContactFailProb = 0 })
+	src, dst := fx.top.Hosts[0].ID, fx.top.Hosts[1].ID
+	if _, err := fx.prb.Traceroute(src, dst, 0); err != nil {
+		t.Fatal(err)
+	}
+	at := netsim.Time(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		at += 61
+		if _, err := fx.prb.Traceroute(src, dst, at); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The one allocation is the result's sample slice.
+	if allocs > 1 {
+		t.Errorf("Traceroute allocates %v times per call with a warm path cache, want at most 1", allocs)
+	}
+}
+
+// switchingPaths is a time-varying PathProvider: before switchAt the
+// pair (src, dst) takes path a, afterwards path b; every other pair
+// takes its converged path.
+type switchingPaths struct {
+	*forward.Cache
+	src, dst topology.HostID
+	a, b     forward.Path
+	switchAt netsim.Time
+}
+
+func (p *switchingPaths) PathAt(src, dst topology.HostID, at netsim.Time) (forward.Path, error) {
+	if src == p.src && dst == p.dst {
+		if at < p.switchAt {
+			return p.a, nil
+		}
+		return p.b, nil
+	}
+	return p.Cache.PathAt(src, dst, at)
+}
+
+// TestTracerouteASPathFollowsPathChanges checks the per-pair AS path
+// memo against a provider whose path for a pair changes over time, as
+// a dynamics timeline's does across epochs.
+func TestTracerouteASPathFollowsPathChanges(t *testing.T) {
+	fx := newFixture(t, func(c *Config) { c.ContactFailProb = 0 })
+	src, dst := fx.top.Hosts[0], fx.top.Hosts[1]
+	direct, err := fx.fwd.HostPath(src.ID, dst.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var detour forward.Path
+	for _, via := range fx.top.Hosts[2:] {
+		p, err := fx.fwd.LooseSourcePath(src.ID, []topology.HostID{via.ID}, dst.ID)
+		if err == nil && !slices.Equal(p.ASPath(fx.top), direct.ASPath(fx.top)) {
+			detour = p
+			break
+		}
+	}
+	if detour.Routers == nil {
+		t.Skip("no relay gives a different AS path")
+	}
+	paths := &switchingPaths{Cache: forward.NewCache(fx.fwd), src: src.ID, dst: dst.ID,
+		a: direct, b: detour, switchAt: 1000}
+	prb := NewWithProvider(fx.top, paths, fx.net, fx.prb.cfg)
+	for _, at := range []netsim.Time{0, 10, 2000, 3000, 20, 4000} {
+		want := direct
+		if at >= paths.switchAt {
+			want = detour
+		}
+		res, err := prb.Traceroute(src.ID, dst.ID, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.ASPath, want.ASPath(fx.top)) {
+			t.Fatalf("at %v: AS path %v, want %v", at, res.ASPath, want.ASPath(fx.top))
+		}
 	}
 }

@@ -140,7 +140,7 @@ func retryableStatus(code int) bool {
 
 // forward proxies an API request to the owner of its suite
 // configuration, retrying along the ring on worker failure. Response
-// bodies are streamed (io.Copy), so large figure payloads flow
+// bodies are streamed (copyResponse), so large figure payloads flow
 // incrementally instead of buffering in the router.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request) {
 	cfg, err := suiteConfigFrom(rt.defaults, r)
@@ -193,6 +193,12 @@ func (rt *Router) tryWorker(r *http.Request, wk *routerWorker) (*http.Response, 
 	return rt.client.Do(req)
 }
 
+// copyBufs holds the buffers copyResponse streams bodies through. It
+// writes through obs.Instrument's status writer, which hides the
+// connection's io.ReaderFrom, so io.Copy would allocate a fresh 32 KB
+// buffer for every proxied request.
+var copyBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
+
 // copyResponse relays a worker response to the client, tagging which
 // worker served it.
 func copyResponse(w http.ResponseWriter, resp *http.Response, worker string) {
@@ -204,7 +210,9 @@ func copyResponse(w http.ResponseWriter, resp *http.Response, worker string) {
 	}
 	w.Header().Set("X-Pathsel-Worker", worker)
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body) //nolint:errcheck // client disconnects surface as copy errors; nothing to do
+	buf := copyBufs.Get().(*[]byte)
+	defer copyBufs.Put(buf)
+	io.CopyBuffer(w, resp.Body, *buf) //nolint:errcheck // client disconnects surface as copy errors; nothing to do
 }
 
 // workerRow is one row of the /api/workers status report.

@@ -291,3 +291,30 @@ func TestRouterEndToEndByteIdentical(t *testing.T) {
 		t.Error("router did not tag the serving worker")
 	}
 }
+
+// TestCopyResponseThroughInstrument relays a body larger than the copy
+// buffer through the instrumented writer and checks the client gets it
+// whole and the access log counts every byte.
+func TestCopyResponseThroughInstrument(t *testing.T) {
+	body := strings.Repeat("0123456789", 10<<10)
+	var logs strings.Builder
+	h := obs.Instrument(obs.NewRegistry(), slog.New(slog.NewJSONHandler(&logs, nil)),
+		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			// The struct hides strings.Reader's WriteTo, as a network
+			// body would, so the copy goes through the buffer.
+			copyResponse(w, &http.Response{StatusCode: http.StatusOK, Header: http.Header{},
+				Body: io.NopCloser(struct{ io.Reader }{strings.NewReader(body)})}, "w1")
+		}))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/figure/2", nil))
+	if rec.Body.String() != body {
+		t.Fatalf("relayed %d bytes, want %d", rec.Body.Len(), len(body))
+	}
+	var entry struct{ Bytes int }
+	if err := json.Unmarshal([]byte(logs.String()), &entry); err != nil {
+		t.Fatalf("access log %q: %v", logs.String(), err)
+	}
+	if entry.Bytes != len(body) {
+		t.Errorf("access log bytes = %d, want %d", entry.Bytes, len(body))
+	}
+}
