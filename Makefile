@@ -36,11 +36,14 @@ race:
 
 # The hot kernels: the alternate-path engine, the netsim link and path
 # evaluations, and one traceroute over a warm quick suite (the probe
-# benchmark lives in the root harness, beside the suite it needs).
+# benchmark lives in the root harness, beside the suite it needs); then
+# a cold quick suite build, whose B/op and allocs/op track the
+# campaigns' allocation next to the kernels.
 bench:
 	$(GO) test -bench 'BestAlternates|GreedyRemoveTop' -benchmem -run '^$$' ./internal/core/
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/netsim/
 	$(GO) test -bench 'ProbeTraceroute' -benchmem -run '^$$' .
+	$(GO) test -bench 'SuiteBuildPreset/quick' -benchmem -run '^$$' .
 
 # Machine-readable baseline of the root benchmark harness: one
 # iteration of every exhibit (enough for a committed reference point;

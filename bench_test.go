@@ -57,6 +57,7 @@ func benchSuite(b *testing.B) *experiments.Suite {
 // BenchmarkSuiteBuild times the full pipeline that feeds every other
 // benchmark: topology + IGP + BGP + congestion model + all campaigns.
 func BenchmarkSuiteBuild(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s, err := experiments.Build(experiments.Config{Seed: 1, Preset: experiments.Quick})
 		if err != nil {
@@ -77,6 +78,7 @@ func BenchmarkSuiteBuild(b *testing.B) {
 func BenchmarkSuiteBuildPreset(b *testing.B) {
 	for _, preset := range []experiments.Preset{experiments.Quick, experiments.Full, experiments.Scale} {
 		b.Run(preset.String(), func(b *testing.B) {
+			b.ReportAllocs()
 			var st topology.Stats
 			for i := 0; i < b.N; i++ {
 				s, err := experiments.Build(experiments.Config{Seed: 1, Preset: preset})

@@ -114,11 +114,22 @@ func New(name string, hosts []topology.HostID) *Dataset {
 	return &Dataset{Name: name, Hosts: hs, Paths: map[PairKey]*PathData{}}
 }
 
-// path returns (creating if needed) the data for a pair.
-func (d *Dataset) path(k PairKey) *PathData {
+// path returns (creating if needed) the data for a pair. A new pair's
+// sample slices get the given capacities, so a caller that knows how
+// much it will record never grows them.
+func (d *Dataset) path(k PairKey, rttCap, lossCap, transferCap int) *PathData {
 	p, ok := d.Paths[k]
 	if !ok {
 		p = &PathData{Key: k}
+		if rttCap > 0 {
+			p.RTT = make([]RTTSample, 0, rttCap)
+		}
+		if lossCap > 0 {
+			p.Loss = make([]LossSample, 0, lossCap)
+		}
+		if transferCap > 0 {
+			p.Transfers = make([]TransferSample, 0, transferCap)
+		}
 		d.Paths[k] = p
 		d.invalidatePairKeys()
 	}
@@ -139,15 +150,24 @@ func (d *Dataset) invalidatePairKeys() {
 // (the D2 heuristic records only the first); pass len(samples) or more
 // to keep all. Returns false if the invocation carried no data.
 func (d *Dataset) RecordEcho(k PairKey, at netsim.Time, rtts []float64, lost []bool, asPath []topology.ASN, keepSamples int) bool {
+	return d.RecordEchoSized(k, at, rtts, lost, asPath, keepSamples, 0)
+}
+
+// RecordEchoSized is RecordEcho for a caller that knows how many
+// invocations of k it will record in all: when k is first recorded,
+// its RTT and loss slices are allocated for expect invocations of this
+// one's shape, so they never grow. expect 0 means unknown.
+func (d *Dataset) RecordEchoSized(k PairKey, at netsim.Time, rtts []float64, lost []bool, asPath []topology.ASN,
+	keepSamples, expect int) bool {
 	if len(lost) == 0 {
 		return false
 	}
-	d.rev++
-	p := d.path(k)
-	p.Measurements++
 	if keepSamples > len(lost) {
 		keepSamples = len(lost)
 	}
+	d.rev++
+	p := d.path(k, expect*len(lost), expect*keepSamples, 0)
+	p.Measurements++
 	for i := 0; i < len(lost); i++ {
 		if !lost[i] {
 			p.RTT = append(p.RTT, RTTSample{At: at, RTTMs: rtts[i]})
@@ -164,8 +184,15 @@ func (d *Dataset) RecordEcho(k PairKey, at netsim.Time, rtts []float64, lost []b
 
 // RecordTransfer records one TCP transfer measurement.
 func (d *Dataset) RecordTransfer(k PairKey, s TransferSample) {
+	d.RecordTransferSized(k, s, 0)
+}
+
+// RecordTransferSized is RecordTransfer for a caller that expects to
+// record expect transfers of k in all (0 means unknown): k's first
+// transfer allocates room for all of them.
+func (d *Dataset) RecordTransferSized(k PairKey, s TransferSample, expect int) {
 	d.rev++
-	p := d.path(k)
+	p := d.path(k, 0, 0, expect)
 	p.Measurements++
 	p.Transfers = append(p.Transfers, s)
 }

@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"errors"
 	"fmt"
 
 	"pathsel/internal/bgp"
@@ -8,6 +9,10 @@ import (
 	"pathsel/internal/netsim"
 	"pathsel/internal/topology"
 )
+
+// ErrBlackholed is DelayedTimeline.PathAt's error for a pair whose
+// route is blackholed while its withdrawal propagates.
+var ErrBlackholed = errors.New("dynamics: route blackholed during reconvergence")
 
 // DelayedTimeline wraps a Timeline with a BGP convergence delay: when an
 // epoch begins because sessions failed, pairs whose previous-epoch route
@@ -92,7 +97,7 @@ func (d *DelayedTimeline) epochIndex(t netsim.Time) int {
 func (d *DelayedTimeline) PathAt(src, dst topology.HostID, t netsim.Time) (forward.Path, error) {
 	i := d.epochIndex(t)
 	if i < 0 {
-		return forward.Path{}, fmt.Errorf("dynamics: time %v outside the timeline", t)
+		return forward.Path{}, ErrOutsideTimeline
 	}
 	ep := d.tl.epochs[i]
 	if d.DelaySec > 0 && i > 0 && d.newLinks[i] != nil && float64(t-ep.Start) < d.DelaySec {
@@ -101,7 +106,7 @@ func (d *DelayedTimeline) PathAt(src, dst topology.HostID, t netsim.Time) (forwa
 		// further; only routes that crossed a newly failed adjacency
 		// stall.
 		if err == nil && pathUsesLink(prevPath, d.newLinks[i]) {
-			return forward.Path{}, fmt.Errorf("dynamics: %d->%d blackholed during reconvergence at %v", src, dst, t)
+			return forward.Path{}, ErrBlackholed
 		}
 	}
 	return ep.cache.PathAt(src, dst, t)

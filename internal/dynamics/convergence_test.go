@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"errors"
 	"testing"
 
 	"pathsel/internal/bgp"
@@ -124,8 +125,8 @@ func TestDelayBlackholesBrokenRoutes(t *testing.T) {
 		if at >= ep.End {
 			break
 		}
-		if _, err := d.PathAt(src, dst, at); err == nil {
-			t.Fatalf("expected blackhole %v after epoch start", netsim.Time(off))
+		if _, err := d.PathAt(src, dst, at); !errors.Is(err, ErrBlackholed) {
+			t.Fatalf("%v after epoch start: error %v, want ErrBlackholed", netsim.Time(off), err)
 		}
 	}
 	// ...and afterwards (or at any time) the plain timeline's converged

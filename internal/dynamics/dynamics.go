@@ -13,6 +13,7 @@
 package dynamics
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -255,12 +256,15 @@ func (tl *Timeline) EpochAt(t netsim.Time) *Epoch {
 	return tl.epochs[i]
 }
 
+// ErrOutsideTimeline is the PathAt error for a time no epoch covers.
+var ErrOutsideTimeline = errors.New("dynamics: time outside the timeline")
+
 // PathAt returns the forwarding path between two hosts at time t, under
 // the routes converged for that instant's failure set.
 func (tl *Timeline) PathAt(src, dst topology.HostID, t netsim.Time) (forward.Path, error) {
 	ep := tl.EpochAt(t)
 	if ep == nil {
-		return forward.Path{}, fmt.Errorf("dynamics: time %v outside the timeline", t)
+		return forward.Path{}, ErrOutsideTimeline
 	}
 	return ep.cache.PathAt(src, dst, t)
 }

@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"errors"
 	"testing"
 
 	"pathsel/internal/igp"
@@ -89,8 +90,15 @@ func TestPathAtAndRouteChanges(t *testing.T) {
 	if _, err := tl.PathAt(src, dst, 50); err != nil {
 		t.Fatalf("PathAt: %v", err)
 	}
-	if _, err := tl.PathAt(src, dst, netsim.Time(5*86400)); err == nil {
-		t.Error("PathAt outside window should error")
+	if _, err := tl.PathAt(src, dst, netsim.Time(5*86400)); !errors.Is(err, ErrOutsideTimeline) {
+		t.Errorf("PathAt outside window: error %v, want ErrOutsideTimeline", err)
+	}
+	d, err := tl.WithConvergenceDelay(60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.PathAt(src, dst, -1); !errors.Is(err, ErrOutsideTimeline) {
+		t.Errorf("delayed PathAt outside window: error %v, want ErrOutsideTimeline", err)
 	}
 }
 

@@ -8,28 +8,32 @@ import (
 // Cache memoizes host-pair paths of a static Forwarder, and adapts it to
 // the time-indexed PathAt interface the prober uses (a converged network
 // has the same path at every instant, so the time argument is ignored).
-// Not safe for concurrent use, matching the single-threaded measurement
-// campaigns.
+// A pair without a route is memoized too: a static forwarder fails the
+// same way every time. Not safe for concurrent use, matching the
+// single-threaded measurement campaigns.
 type Cache struct {
 	fwd   *Forwarder
-	paths map[[2]topology.HostID]Path
+	paths map[[2]topology.HostID]cachedPath
+}
+
+type cachedPath struct {
+	p   Path
+	err error
 }
 
 // NewCache wraps a Forwarder.
 func NewCache(f *Forwarder) *Cache {
-	return &Cache{fwd: f, paths: map[[2]topology.HostID]Path{}}
+	return &Cache{fwd: f, paths: map[[2]topology.HostID]cachedPath{}}
 }
 
-// PathAt returns the (memoized) forwarding path between two hosts.
+// PathAt returns the (memoized) forwarding path between two hosts, or
+// the (memoized) error of a pair without one.
 func (c *Cache) PathAt(src, dst topology.HostID, _ netsim.Time) (Path, error) {
 	key := [2]topology.HostID{src, dst}
-	if p, ok := c.paths[key]; ok {
-		return p, nil
+	if e, ok := c.paths[key]; ok {
+		return e.p, e.err
 	}
 	p, err := c.fwd.HostPath(src, dst)
-	if err != nil {
-		return Path{}, err
-	}
-	c.paths[key] = p
-	return p, nil
+	c.paths[key] = cachedPath{p: p, err: err}
+	return p, err
 }

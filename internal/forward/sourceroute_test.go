@@ -268,12 +268,21 @@ func TestCacheMemoizes(t *testing.T) {
 	if !samePath(p1, direct) {
 		t.Error("cached path differs from direct computation")
 	}
-	if _, err := c.PathAt(-1, dst, 0); err == nil {
+	first, err := c.PathAt(-1, dst, 0)
+	if err == nil {
 		t.Error("unknown host should propagate the error")
 	}
-	// Errors are not cached as successes.
-	if _, err := c.PathAt(-1, dst, 0); err == nil {
+	// Errors are memoized as errors, not as successes: a repeated bad
+	// lookup returns the same error without recomputing it.
+	again, err2 := c.PathAt(-1, dst, 0)
+	if err2 == nil {
 		t.Error("repeated bad lookup should still error")
+	}
+	if err2 != err || !samePath(first, again) {
+		t.Errorf("repeated bad lookup returned %v, want the memoized %v", err2, err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { _, _ = c.PathAt(-1, dst, 0) }); allocs > 0 {
+		t.Errorf("memoized bad lookup allocates %v times, want 0", allocs)
 	}
 }
 

@@ -10,6 +10,7 @@ package measure
 import (
 	"context"
 	"fmt"
+	"iter"
 	"math/rand"
 
 	"pathsel/internal/dataset"
@@ -145,6 +146,8 @@ type Spec struct {
 	Seed int64
 	// Observer, when set, receives every probe result as it happens
 	// (including failures) — used to stream textual traces to disk.
+	// The result's Samples are reused by the next traceroute, so an
+	// Observer that keeps them must copy them.
 	Observer func(probe.Result)
 }
 
@@ -178,11 +181,47 @@ func Run(top *topology.Topology, prb *probe.Prober, spec Spec) (*dataset.Dataset
 // caller building datasets on demand (e.g. an HTTP request that has
 // been abandoned) does not finish a campaign nobody will read.
 func RunContext(ctx context.Context, top *topology.Topology, prb *probe.Prober, spec Spec) (*dataset.Dataset, error) {
+	c, err := newCampaign(top, spec)
+	if err != nil {
+		return nil, err
+	}
+	// The schedule never reads a probe result, so replaying it from the
+	// same seed yields the same slots: the first pass counts each
+	// pair's probes, and the second sends them into per-pair storage
+	// sized by those counts, which therefore never grows.
+	rng := rand.New(rand.NewSource(spec.Seed))
+	counts := countProbes(c.schedule(rng))
+	rng.Seed(spec.Seed)
+
+	ds := dataset.New(spec.Name, c.hosts)
+	if err := c.probe(ctx, ds, prb, c.schedule(rng), counts); err != nil {
+		return nil, err
+	}
+	if spec.MirrorMissing {
+		mirrorMissing(ds)
+	}
+	if spec.MinMeasurements > 0 {
+		ds.RemoveSparsePaths(spec.MinMeasurements)
+	}
+	return ds, nil
+}
+
+// campaign is a validated Spec over its rate-limit-filtered host and
+// target sets.
+type campaign struct {
+	spec    Spec
+	hosts   []topology.HostID
+	targets []topology.HostID
+	keep    int // loss observations kept per traceroute
+}
+
+func newCampaign(top *topology.Topology, spec Spec) (*campaign, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(spec.Seed))
-
+	if spec.Scheduler < PerServerUniform || spec.Scheduler > SampledPairs {
+		return nil, fmt.Errorf("measure: %s: unknown scheduler %v", spec.Name, spec.Scheduler)
+	}
 	hosts := append([]topology.HostID(nil), spec.Hosts...)
 	if spec.RateLimit == FilterHosts {
 		hosts = filterRateLimited(top, hosts)
@@ -197,37 +236,11 @@ func RunContext(ctx context.Context, top *topology.Topology, prb *probe.Prober, 
 			return nil, fmt.Errorf("measure: %s: no valid targets after rate-limit filtering", spec.Name)
 		}
 	}
-
-	ds := dataset.New(spec.Name, hosts)
 	keep := spec.KeepSamples
 	if keep <= 0 {
 		keep = probe.SamplesPerTraceroute
 	}
-
-	var err error
-	switch spec.Scheduler {
-	case PerServerUniform:
-		err = runPerServer(ctx, ds, top, prb, spec, rng, hosts, targets, keep)
-	case ExponentialPairs:
-		err = runExponentialPairs(ctx, ds, prb, spec, rng, hosts, targets, keep)
-	case Episodes:
-		err = runEpisodes(ctx, ds, prb, spec, rng, hosts, keep)
-	case SampledPairs:
-		err = runSampledPairs(ctx, ds, prb, spec, rng, hosts, keep)
-	default:
-		err = fmt.Errorf("measure: %s: unknown scheduler %v", spec.Name, spec.Scheduler)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	if spec.MirrorMissing {
-		mirrorMissing(ds)
-	}
-	if spec.MinMeasurements > 0 {
-		ds.RemoveSparsePaths(spec.MinMeasurements)
-	}
-	return ds, nil
+	return &campaign{spec: spec, hosts: hosts, targets: targets, keep: keep}, nil
 }
 
 func filterRateLimited(top *topology.Topology, hosts []topology.HostID) []topology.HostID {
@@ -240,13 +253,195 @@ func filterRateLimited(top *topology.Topology, hosts []topology.HostID) []topolo
 	return out
 }
 
-// recordResult stores a traceroute result in the dataset.
-func recordResult(ds *dataset.Dataset, res probe.Result, keep int) {
-	if res.Failed {
-		return
+// A slot is one scheduled probe.
+type slot struct {
+	at       netsim.Time
+	src, dst topology.HostID
+	// round numbers the round a slot of the Episodes or SampledPairs
+	// scheduler belongs to, and roundAt is that round's start time; the
+	// other schedulers leave both zero.
+	round   int
+	roundAt netsim.Time
+}
+
+// schedule returns the campaign's probe slots in the order they are
+// sent, drawn from rng and nothing else.
+func (c *campaign) schedule(rng *rand.Rand) iter.Seq[slot] {
+	return func(yield func(slot) bool) {
+		switch c.spec.Scheduler {
+		case PerServerUniform:
+			c.perServer(rng, yield)
+		case ExponentialPairs:
+			c.exponentialPairs(rng, yield)
+		case Episodes:
+			c.rounds(rng, len(c.hosts), yield)
+		case SampledPairs:
+			c.rounds(rng, c.spec.ClusterSize, yield)
+		}
 	}
-	// A traceroute's samples fit the stack buffers; RecordEcho copies
-	// what it keeps.
+}
+
+// perServer gives every host its own uniform-interval clock and always
+// advances the earliest one, keeping the global probe order
+// chronological (and deterministic).
+func (c *campaign) perServer(rng *rand.Rand, yield func(slot) bool) {
+	spec := c.spec
+	end := spec.StartSec + spec.DurationSec
+	clocks := make([]float64, len(c.hosts))
+	for i := range clocks {
+		clocks[i] = spec.StartSec + rng.Float64()*2*spec.MeanIntervalSec
+	}
+	for {
+		srcIdx, at := -1, end
+		for i, t := range clocks {
+			if t < at {
+				srcIdx, at = i, t
+			}
+		}
+		if srcIdx == -1 {
+			return
+		}
+		clocks[srcIdx] += rng.Float64() * 2 * spec.MeanIntervalSec
+		src := c.hosts[srcIdx]
+		dst := c.targets[rng.Intn(len(c.targets))]
+		if dst == src {
+			continue
+		}
+		if !yield(slot{at: netsim.Time(at), src: src, dst: dst}) {
+			return
+		}
+	}
+}
+
+// exponentialPairs draws one exponential arrival process and a uniformly
+// random ordered pair for each arrival.
+func (c *campaign) exponentialPairs(rng *rand.Rand, yield func(slot) bool) {
+	spec := c.spec
+	end := spec.StartSec + spec.DurationSec
+	at := spec.StartSec
+	for {
+		at += rng.ExpFloat64() * spec.MeanIntervalSec
+		if at >= end {
+			return
+		}
+		src := c.hosts[rng.Intn(len(c.hosts))]
+		dst := c.targets[rng.Intn(len(c.targets))]
+		if src == dst {
+			continue
+		}
+		if !yield(slot{at: netsim.Time(at), src: src, dst: dst}) {
+			return
+		}
+	}
+}
+
+// rounds draws exponentially spaced rounds and, in each, measures the
+// full ordered mesh within every disjoint cluster of size consecutive
+// hosts (a short final cluster keeps the leftover hosts). Probes are
+// staggered 1.5 s apart within the round: each traceroute takes nonzero
+// real time, as the paper notes. An Episodes round is one cluster of
+// every host.
+func (c *campaign) rounds(rng *rand.Rand, size int, yield func(slot) bool) {
+	spec := c.spec
+	end := spec.StartSec + spec.DurationSec
+	at := spec.StartSec
+	for round := 0; ; round++ {
+		at += rng.ExpFloat64() * spec.MeanIntervalSec
+		if at >= end {
+			return
+		}
+		offset := 0.0
+		for base := 0; base < len(c.hosts); base += size {
+			cluster := c.hosts[base:min(base+size, len(c.hosts))]
+			for _, src := range cluster {
+				for _, dst := range cluster {
+					if src == dst {
+						continue
+					}
+					s := slot{at: netsim.Time(at + offset), src: src, dst: dst, round: round, roundAt: netsim.Time(at)}
+					offset += 1.5
+					if !yield(s) {
+						return
+					}
+				}
+			}
+		}
+	}
+}
+
+// countProbes tallies a schedule's probes per ordered pair.
+func countProbes(slots iter.Seq[slot]) map[dataset.PairKey]int32 {
+	counts := map[dataset.PairKey]int32{}
+	for s := range slots {
+		counts[dataset.PairKey{Src: s.src, Dst: s.dst}]++
+	}
+	return counts
+}
+
+// probe sends every slot and records the results in ds. counts holds
+// each pair's probe count, which sizes the pair's storage when its
+// first result is recorded. Episodes campaigns also record each round
+// as an Episode of the mean RTT per pair.
+func (c *campaign) probe(ctx context.Context, ds *dataset.Dataset, prb *probe.Prober, slots iter.Seq[slot],
+	counts map[dataset.PairKey]int32) error {
+	spec := c.spec
+	// One traceroute's samples at a time: RecordEcho copies what it keeps.
+	var buf [probe.SamplesPerTraceroute]probe.Sample
+	var ep *dataset.Episode
+	round := -1
+	for s := range slots {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		k := dataset.PairKey{Src: s.src, Dst: s.dst}
+		if spec.Method == MethodTransfer {
+			res, err := prb.Transfer(s.src, s.dst, s.at)
+			if err != nil {
+				return fmt.Errorf("measure: %s: %w", spec.Name, err)
+			}
+			if !res.Failed {
+				ds.RecordTransferSized(k, dataset.TransferSample{
+					At: res.At, MeanRTTMs: res.MeanRTTMs, LossRate: res.LossRate, Packets: res.Packets,
+				}, int(counts[k]))
+			}
+			continue
+		}
+		if spec.Scheduler == Episodes && s.round != round {
+			if ep != nil {
+				ds.AddEpisode(ep)
+			}
+			round = s.round
+			n := len(c.hosts)
+			ep = &dataset.Episode{At: s.roundAt, RTTMs: make(map[dataset.PairKey]float64, n*(n-1))}
+		}
+		res, err := prb.AppendTraceroute(buf[:0], s.src, s.dst, s.at)
+		if err != nil {
+			return fmt.Errorf("measure: %s: %w", spec.Name, err)
+		}
+		if spec.Observer != nil {
+			spec.Observer(res)
+		}
+		if res.Failed {
+			continue
+		}
+		recordResult(ds, res, c.keep, int(counts[k]))
+		if ep != nil {
+			if mean, ok := meanRTT(res.Samples); ok {
+				ep.RTTMs[k] = mean
+			}
+		}
+	}
+	if ep != nil {
+		ds.AddEpisode(ep)
+	}
+	return nil
+}
+
+// recordResult stores a successful traceroute in the dataset, sizing a
+// new pair's storage for expect traceroutes.
+func recordResult(ds *dataset.Dataset, res probe.Result, keep, expect int) {
+	// A traceroute's samples fit the stack buffers; RecordEchoSized
+	// copies what it keeps.
 	var rttBuf [probe.SamplesPerTraceroute]float64
 	var lostBuf [probe.SamplesPerTraceroute]bool
 	rtts, lost := rttBuf[:0], lostBuf[:0]
@@ -254,183 +449,22 @@ func recordResult(ds *dataset.Dataset, res probe.Result, keep int) {
 		rtts = append(rtts, s.RTTMs)
 		lost = append(lost, s.Lost)
 	}
-	ds.RecordEcho(dataset.PairKey{Src: res.Src, Dst: res.Dst}, res.At, rtts, lost, res.ASPath, keep)
+	ds.RecordEchoSized(dataset.PairKey{Src: res.Src, Dst: res.Dst}, res.At, rtts, lost, res.ASPath, keep, expect)
 }
 
-func runPerServer(ctx context.Context, ds *dataset.Dataset, top *topology.Topology, prb *probe.Prober, spec Spec,
-	rng *rand.Rand, hosts, targets []topology.HostID, keep int) error {
-	end := spec.StartSec + spec.DurationSec
-	// Each server has its own clock; we interleave by always advancing
-	// the earliest one, keeping the global measurement order
-	// chronological (and deterministic).
-	clocks := make([]float64, len(hosts))
-	for i := range clocks {
-		clocks[i] = spec.StartSec + rng.Float64()*2*spec.MeanIntervalSec
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// Find the earliest server clock.
-		srcIdx, at := -1, end
-		for i, c := range clocks {
-			if c < at {
-				srcIdx, at = i, c
-			}
-		}
-		if srcIdx == -1 {
-			return nil
-		}
-		clocks[srcIdx] += rng.Float64() * 2 * spec.MeanIntervalSec
-		src := hosts[srcIdx]
-		dst := targets[rng.Intn(len(targets))]
-		if dst == src {
-			continue
-		}
-		res, err := prb.Traceroute(src, dst, netsim.Time(at))
-		if err != nil {
-			return fmt.Errorf("measure: %s: %w", spec.Name, err)
-		}
-		if spec.Observer != nil {
-			spec.Observer(res)
-		}
-		recordResult(ds, res, keep)
-	}
-}
-
-func runExponentialPairs(ctx context.Context, ds *dataset.Dataset, prb *probe.Prober, spec Spec,
-	rng *rand.Rand, hosts, targets []topology.HostID, keep int) error {
-	end := spec.StartSec + spec.DurationSec
-	at := spec.StartSec
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		at += rng.ExpFloat64() * spec.MeanIntervalSec
-		if at >= end {
-			return nil
-		}
-		src := hosts[rng.Intn(len(hosts))]
-		dst := targets[rng.Intn(len(targets))]
-		if src == dst {
-			continue
-		}
-		switch spec.Method {
-		case MethodTraceroute:
-			res, err := prb.Traceroute(src, dst, netsim.Time(at))
-			if err != nil {
-				return fmt.Errorf("measure: %s: %w", spec.Name, err)
-			}
-			if spec.Observer != nil {
-				spec.Observer(res)
-			}
-			recordResult(ds, res, keep)
-		case MethodTransfer:
-			res, err := prb.Transfer(src, dst, netsim.Time(at))
-			if err != nil {
-				return fmt.Errorf("measure: %s: %w", spec.Name, err)
-			}
-			if !res.Failed {
-				ds.RecordTransfer(dataset.PairKey{Src: src, Dst: dst}, dataset.TransferSample{
-					At: res.At, MeanRTTMs: res.MeanRTTMs, LossRate: res.LossRate, Packets: res.Packets,
-				})
-			}
+// meanRTT is the mean of the samples that were not lost.
+func meanRTT(samples []probe.Sample) (float64, bool) {
+	sum, n := 0.0, 0
+	for _, s := range samples {
+		if !s.Lost {
+			sum += s.RTTMs
+			n++
 		}
 	}
-}
-
-func runEpisodes(ctx context.Context, ds *dataset.Dataset, prb *probe.Prober, spec Spec,
-	rng *rand.Rand, hosts []topology.HostID, keep int) error {
-	end := spec.StartSec + spec.DurationSec
-	at := spec.StartSec
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		at += rng.ExpFloat64() * spec.MeanIntervalSec
-		if at >= end {
-			return nil
-		}
-		ep := &dataset.Episode{At: netsim.Time(at), RTTMs: map[dataset.PairKey]float64{}}
-		// Every ordered pair, measured within a several-minute window
-		// (each traceroute takes nonzero time, as the paper notes).
-		offset := 0.0
-		for _, src := range hosts {
-			for _, dst := range hosts {
-				if src == dst {
-					continue
-				}
-				t := netsim.Time(at + offset)
-				offset += 1.5 // staggered requests within the episode
-				res, err := prb.Traceroute(src, dst, t)
-				if err != nil {
-					return fmt.Errorf("measure: %s: %w", spec.Name, err)
-				}
-				if spec.Observer != nil {
-					spec.Observer(res)
-				}
-				recordResult(ds, res, keep)
-				if res.Failed {
-					continue
-				}
-				sum, n := 0.0, 0
-				for _, s := range res.Samples {
-					if !s.Lost {
-						sum += s.RTTMs
-						n++
-					}
-				}
-				if n > 0 {
-					ep.RTTMs[dataset.PairKey{Src: src, Dst: dst}] = sum / float64(n)
-				}
-			}
-		}
-		ds.AddEpisode(ep)
+	if n == 0 {
+		return 0, false
 	}
-}
-
-// runSampledPairs measures, at each exponentially spaced round, the full
-// ordered mesh within every disjoint cluster of ClusterSize consecutive
-// hosts. Probes are staggered in time within the round like an episode's
-// (each traceroute takes nonzero real time).
-func runSampledPairs(ctx context.Context, ds *dataset.Dataset, prb *probe.Prober, spec Spec,
-	rng *rand.Rand, hosts []topology.HostID, keep int) error {
-	end := spec.StartSec + spec.DurationSec
-	at := spec.StartSec
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		at += rng.ExpFloat64() * spec.MeanIntervalSec
-		if at >= end {
-			return nil
-		}
-		offset := 0.0
-		for base := 0; base < len(hosts); base += spec.ClusterSize {
-			hi := base + spec.ClusterSize
-			if hi > len(hosts) {
-				hi = len(hosts)
-			}
-			cluster := hosts[base:hi]
-			for _, src := range cluster {
-				for _, dst := range cluster {
-					if src == dst {
-						continue
-					}
-					t := netsim.Time(at + offset)
-					offset += 1.5
-					res, err := prb.Traceroute(src, dst, t)
-					if err != nil {
-						return fmt.Errorf("measure: %s: %w", spec.Name, err)
-					}
-					if spec.Observer != nil {
-						spec.Observer(res)
-					}
-					recordResult(ds, res, keep)
-				}
-			}
-		}
-	}
+	return sum / float64(n), true
 }
 
 // mirrorMissing fills each unmeasured directed path with the samples of

@@ -14,6 +14,8 @@ import (
 
 type fixture struct {
 	top *topology.Topology
+	fwd *forward.Forwarder
+	net *netsim.Network
 	prb *probe.Prober
 }
 
@@ -32,7 +34,7 @@ func newFixture(t *testing.T) *fixture {
 	}
 	fwd := forward.New(top, g, table)
 	net := netsim.New(top, netsim.DefaultConfig())
-	return &fixture{top: top, prb: probe.New(top, fwd, net, probe.DefaultConfig())}
+	return &fixture{top: top, fwd: fwd, net: net, prb: probe.New(top, fwd, net, probe.DefaultConfig())}
 }
 
 func hostIDs(top *topology.Topology) []topology.HostID {

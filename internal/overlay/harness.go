@@ -164,6 +164,8 @@ type harness struct {
 	downRoute  []int
 
 	// Scoring accumulators. Index: 0 overlay, 1 default, 2 optimal.
+	// maxPoints bounds the RTT cloud points: scored ticks × pairs.
+	maxPoints       int
 	scoredPairTicks int
 	availCount      [3]int
 	lossSum         [3]float64
@@ -342,6 +344,11 @@ func (h *harness) scoreTick() {
 			}
 		}
 		if joint {
+			if h.res.OverlayRTTs == nil {
+				h.res.OverlayRTTs = make([]float64, 0, h.maxPoints)
+				h.res.DefaultRTTs = make([]float64, 0, h.maxPoints)
+				h.res.OptimalRTTs = make([]float64, 0, h.maxPoints)
+			}
 			h.rttN++
 			h.rttSum[0] += pts[0].rtt
 			h.rttSum[1] += pts[1].rtt
@@ -393,6 +400,11 @@ func (h *harness) run() (Result, error) {
 	scoreEvery := int(h.cfg.ScoreIntervalSec/h.cfg.TickSec + 0.5)
 	if scoreEvery < 1 {
 		scoreEvery = 1
+	}
+	// Tick times rise with k, so the scored ticks are those of the
+	// loop below from warmupTicks on that start before the end.
+	for k := warmupTicks; start0+netsim.Time(float64(k)*h.cfg.TickSec) < h.cond.End; k += scoreEvery {
+		h.maxPoints += M
 	}
 	seqs := make([]uint64, 0, M)
 	samples := make([]Sample, 0, M)

@@ -150,6 +150,14 @@ func TestEvaluateOptimalBounds(t *testing.T) {
 				i, rtt, res.OverlayRTTs[i], res.DefaultRTTs[i])
 		}
 	}
+	// Each scored tick adds at most one point per pair, and the clouds
+	// are reserved for that bound before the run, so they never grow.
+	bound := res.ScoredTicks * res.Pairs
+	for _, pts := range [][]float64{res.OverlayRTTs, res.DefaultRTTs, res.OptimalRTTs} {
+		if cap(pts) != bound {
+			t.Errorf("RTT cloud of %d points has capacity %d, want the reserved %d", len(pts), cap(pts), bound)
+		}
+	}
 }
 
 // rttPoints returns how many jointly-usable points back the RTT means.

@@ -182,6 +182,16 @@ func (p *Prober) echo(fwdPath, revPath forward.Path, src, dst topology.HostID, t
 // drop echo samples after the first with RateLimitDropProb, inflating the
 // apparent loss rate exactly as in the paper's D2 discussion.
 func (p *Prober) Traceroute(src, dst topology.HostID, t netsim.Time) (Result, error) {
+	return p.AppendTraceroute(nil, src, dst, t)
+}
+
+// AppendTraceroute is Traceroute with the echo samples appended to buf:
+// unless the traceroute failed, the result's Samples is buf extended by
+// SamplesPerTraceroute samples, sharing buf's array when it has room. A
+// campaign passes the same buf[:0] to every traceroute, so it allocates
+// no samples; each result's samples are then valid only until the next
+// call.
+func (p *Prober) AppendTraceroute(buf []Sample, src, dst topology.HostID, t netsim.Time) (Result, error) {
 	if p.top.Host(src) == nil || p.top.Host(dst) == nil {
 		return Result{}, fmt.Errorf("probe: unknown host %d or %d", src, dst)
 	}
@@ -205,7 +215,12 @@ func (p *Prober) Traceroute(src, dst topology.HostID, t netsim.Time) (Result, er
 	}
 	res.HopRouters = fwdPath.Routers
 	res.ASPath = p.asPath(src, dst, fwdPath)
-	res.Samples = make([]Sample, 0, SamplesPerTraceroute)
+	if cap(buf)-len(buf) < SamplesPerTraceroute {
+		grown := make([]Sample, len(buf), len(buf)+SamplesPerTraceroute)
+		copy(grown, buf)
+		buf = grown
+	}
+	res.Samples = buf
 
 	rateLimited := p.top.Host(dst).RateLimitICMP
 	// Successive samples are a few seconds apart (each TTL round takes

@@ -290,6 +290,56 @@ func TestTracerouteAllocsWithWarmPathCache(t *testing.T) {
 	}
 }
 
+// TestAppendTraceroute: with a reused buffer, a traceroute allocates
+// nothing and draws the same samples as Traceroute; the buffer's prefix
+// is kept.
+func TestAppendTraceroute(t *testing.T) {
+	fx := newFixture(t, nil)
+	other := New(fx.top, fx.fwd, fx.net, DefaultConfig())
+	hosts := fx.top.Hosts
+	var buf [1 + SamplesPerTraceroute]Sample
+	buf[0] = Sample{RTTMs: -1}
+	for i := 0; i < 200; i++ {
+		src, dst := hosts[i%len(hosts)].ID, hosts[(i*7+1)%len(hosts)].ID
+		if src == dst {
+			continue
+		}
+		at := netsim.Time(i * 97)
+		want, err := fx.prb.Traceroute(src, dst, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := other.AppendTraceroute(buf[:1], src, dst, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Failed != want.Failed {
+			t.Fatalf("traceroute %d: failed %v, want %v", i, got.Failed, want.Failed)
+		}
+		if want.Failed {
+			continue
+		}
+		if len(got.Samples) != 1+len(want.Samples) || &got.Samples[0] != &buf[0] || got.Samples[0].RTTMs != -1 {
+			t.Fatalf("traceroute %d: samples %v do not extend the buffer", i, got.Samples)
+		}
+		if !slices.Equal(got.Samples[1:], want.Samples) {
+			t.Fatalf("traceroute %d: samples %v, want %v", i, got.Samples[1:], want.Samples)
+		}
+	}
+
+	src, dst := hosts[0].ID, hosts[1].ID
+	at := netsim.Time(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		at += 61
+		if _, err := other.AppendTraceroute(buf[:0], src, dst, at); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("AppendTraceroute allocates %v times per call with room in the buffer, want 0", allocs)
+	}
+}
+
 // switchingPaths is a time-varying PathProvider: before switchAt the
 // pair (src, dst) takes path a, afterwards path b; every other pair
 // takes its converged path.
