@@ -71,17 +71,20 @@ LOAD_OUT ?= LOAD_$(N).json
 serve-load:
 	$(GO) run ./cmd/loadtest -out $(LOAD_OUT)
 
-# Short fuzz runs of the parsers that face external input, plus the
-# packet data plane's invariant fuzzer; CI runs the same budgets.
-# FuzzRestore's inputs are KB-sized snapshots, and the default 60 s
-# minimization of each new coverage input would spend the whole budget
-# on one input, so its minimization is capped.
+# Short fuzz runs of the parsers that face external input (FuzzLoad is
+# the dataset loader behind `altpath FILE`), plus the packet data
+# plane's and the quantile's invariant fuzzers; CI runs the same
+# budgets. FuzzRestore's and FuzzLoad's inputs are KB-sized snapshots,
+# and the default 60 s minimization of each new coverage input would
+# spend the whole budget on one input, so their minimization is capped.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=15s -run '^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzParsePreset -fuzztime=15s -run '^$$' ./internal/experiments
 	$(GO) test -fuzz=FuzzDataPlane -fuzztime=15s -run '^$$' ./internal/packetnet
 	$(GO) test -fuzz=FuzzDecode -fuzztime=15s -run '^$$' ./internal/snapshot
 	$(GO) test -fuzz=FuzzRestore -fuzztime=15s -fuzzminimizetime=50x -run '^$$' ./internal/snapshot
+	$(GO) test -fuzz=FuzzLoad -fuzztime=15s -fuzzminimizetime=50x -run '^$$' ./internal/dataset
+	$(GO) test -fuzz=FuzzQuantile -fuzztime=15s -run '^$$' ./internal/stats
 
 staticcheck:
 	$(GO) run $(STATICCHECK) ./...

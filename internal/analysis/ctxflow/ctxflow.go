@@ -1,7 +1,7 @@
 // Package ctxflow defines an analyzer guarding the cancellation chain
 // built in PR 2: an HTTP client disconnect must propagate through
 // experiments.BuildContext → measure.RunContext → core.Analyzer →
-// parallelFor and actually stop the work. Two bugs quietly break that
+// fanout.For and actually stop the work. Two bugs quietly break that
 // chain: minting a fresh context.Background()/TODO() deep in library
 // code (detaching everything below it from the caller's cancellation),
 // and accepting a ctx parameter but never consulting it.

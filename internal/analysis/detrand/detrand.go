@@ -28,7 +28,7 @@ func init() {
 		"topology", "igp", "bgp", "netsim", "measure", "core",
 		"experiments", "stats", "tcpmodel", "tcpsim", "dynamics",
 		"geo", "probe", "optimal", "overlay", "csr", "pathset",
-		"packetnet", "snapshot",
+		"packetnet", "snapshot", "fanout",
 	} {
 		Packages["pathsel/internal/"+name] = true
 	}

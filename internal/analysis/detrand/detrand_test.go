@@ -22,7 +22,7 @@ func TestScopedToDeterministicPackages(t *testing.T) {
 	if detrand.Packages["pathsel/internal/obs"] {
 		t.Fatal("serving-layer package internal/obs must not be in the deterministic set")
 	}
-	for _, p := range []string{"pathsel/internal/core", "pathsel/internal/netsim", "pathsel/internal/experiments"} {
+	for _, p := range []string{"pathsel/internal/core", "pathsel/internal/netsim", "pathsel/internal/experiments", "pathsel/internal/fanout"} {
 		if !detrand.Packages[p] {
 			t.Fatalf("%s missing from the deterministic set", p)
 		}

@@ -8,6 +8,8 @@ import (
 	"sync"
 
 	"pathsel/internal/dataset"
+	"pathsel/internal/fanout"
+	"pathsel/internal/netsim"
 	"pathsel/internal/stats"
 	"pathsel/internal/topology"
 )
@@ -77,12 +79,23 @@ func (a *Analyzer) graphFor(metric Metric) (*graph, error) {
 	if g, ok := a.graphs[metric]; ok {
 		return g, nil
 	}
-	g, err := buildGraph(a.ds, metric)
+	g, err := buildGraph(a.ds, metric, nil)
 	if err != nil {
 		return nil, err
 	}
 	a.graphs[metric] = g
 	return g, nil
+}
+
+// queryGraph returns the graph a query searches: the cached per-metric
+// graph, or a bucket-restricted one built for this query alone (the
+// bucketed exhibits are memoized per exhibit, so caching the graph too
+// would only grow the serving heap).
+func (a *Analyzer) queryGraph(metric Metric, b *netsim.Bucket) (*graph, error) {
+	if b == nil {
+		return a.graphFor(metric)
+	}
+	return buildGraph(a.ds, metric, b)
 }
 
 // NewAnalyzer wraps a dataset.
@@ -115,17 +128,10 @@ func (a *Analyzer) context() context.Context {
 }
 
 // workers resolves the Concurrency knob to a worker count.
-func (a *Analyzer) workers() int { return autoWorkers(a.Concurrency) }
+func (a *Analyzer) workers() int { return fanout.Workers(a.Concurrency) }
 
 // Dataset returns the underlying dataset.
 func (a *Analyzer) Dataset() *dataset.Dataset { return a.ds }
-
-// bestAlternatesOn runs the comparison on a prebuilt graph, optionally
-// excluding hosts (used by the greedy-removal analysis), with the
-// analyzer's configured concurrency.
-func (a *Analyzer) bestAlternatesOn(g *graph, metric Metric, maxVia int, excluded []bool) ([]PairResult, error) {
-	return a.bestAlternatesWith(g, metric, maxVia, excluded, a.workers())
-}
 
 // workerArenas hands each worker of a batched analysis a persistent
 // pair of search scratches — one for source trees, one for per-pair
@@ -225,7 +231,7 @@ func (a *Analyzer) bestAlternatesWith(g *graph, metric Metric, maxVia int, exclu
 		}
 		wa := newWorkerArenas(g, workers)
 		defer wa.release()
-		err = parallelFor(a.context(), workers, len(groups), func(w, gi int) error {
+		err = fanout.For(a.context(), workers, len(groups), func(w, gi int) error {
 			gr := groups[gi]
 			src := int(jobs[gr.start].si)
 			s := wa.tree(w)
@@ -262,7 +268,7 @@ func (a *Analyzer) bestAlternatesWith(g *graph, metric Metric, maxVia int, exclu
 	} else {
 		wa := newWorkerArenas(g, workers)
 		defer wa.release()
-		err = parallelFor(a.context(), workers, len(jobs), func(w, i int) error {
+		err = fanout.For(a.context(), workers, len(jobs), func(w, i int) error {
 			j := jobs[i]
 			direct, found := g.directEdge(int(j.si), int(j.di))
 			if !found {
@@ -283,7 +289,8 @@ func (a *Analyzer) bestAlternatesWith(g *graph, metric Metric, maxVia int, exclu
 	if err != nil {
 		return nil, err
 	}
-	out := make([]PairResult, 0, len(jobs))
+	// Compact in place: the write index never passes the read index.
+	out := results[:0]
 	for i, ok := range valid {
 		if ok {
 			out = append(out, results[i])
@@ -378,9 +385,10 @@ type MedianResult struct {
 // BestMedianAlternates runs the mean-versus-median robustness check on
 // round-trip time. Both statistics use one-hop alternates "to keep the
 // computational costs reasonable"; each statistic selects its own best
-// alternate.
+// alternate. The mean side is a one-hop Query; the median side
+// enumerates relays and convolves their hop distributions.
 func (a *Analyzer) BestMedianAlternates() ([]MedianResult, error) {
-	g, err := a.graphFor(MetricRTT)
+	rs, err := a.Query(QuerySpec{Metric: MetricRTT, MaxVia: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -402,37 +410,18 @@ func (a *Analyzer) BestMedianAlternates() ([]MedianResult, error) {
 		}
 		dists[k] = pathDist{median: m, thin: d.Thin(stats.ConvolutionPoints)}
 	}
-	keys := a.ds.PairKeys()
-	results := make([]MedianResult, len(keys))
-	valid := make([]bool, len(keys))
+	pairs := rs.Pairs
+	results := make([]MedianResult, len(pairs))
+	valid := make([]bool, len(pairs))
 	workers := a.workers()
 	scratch := make([][]float64, workers) // cross sums, one buffer per worker
-	err = parallelFor(a.context(), workers, len(keys), func(w, i int) error {
-		k := keys[i]
-		si, ok1 := g.index[k.Src]
-		di, ok2 := g.index[k.Dst]
-		if !ok1 || !ok2 {
-			return nil
-		}
-		direct, found := g.directEdge(si, di)
-		if !found {
-			return nil
-		}
+	err = fanout.For(a.context(), workers, len(pairs), func(w, i int) error {
+		p := pairs[i]
+		k := p.Key
 		directDist, ok := dists[k]
 		if !ok {
 			return nil
 		}
-		// Best one-hop alternate by mean.
-		meanPath, foundMean := g.shortestAlternate(si, di, 1, nil)
-		if !foundMean {
-			return nil
-		}
-		meanVal, _, err := g.composePath(MetricRTT, meanPath)
-		if err != nil {
-			return err
-		}
-		// Best one-hop alternate by median: enumerate intermediates and
-		// convolve.
 		bestMedian := math.Inf(1)
 		foundMedian := false
 		for _, via := range a.ds.Hosts {
@@ -459,7 +448,7 @@ func (a *Analyzer) BestMedianAlternates() ([]MedianResult, error) {
 		}
 		results[i] = MedianResult{
 			Key:               k,
-			MeanImprovement:   direct.value - meanVal,
+			MeanImprovement:   p.Default.Value - p.Alternates.Paths[0].Value,
 			MedianImprovement: directDist.median - bestMedian,
 		}
 		valid[i] = true
@@ -468,7 +457,7 @@ func (a *Analyzer) BestMedianAlternates() ([]MedianResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]MedianResult, 0, len(keys))
+	out := make([]MedianResult, 0, len(pairs))
 	for i, ok := range valid {
 		if ok {
 			out = append(out, results[i])
@@ -542,7 +531,7 @@ func (a *Analyzer) AnalyzeEpisodes() (EpisodeAnalysis, error) {
 		if nb > chunk {
 			nb = chunk
 		}
-		err := parallelFor(a.context(), workers, nb, func(w, i int) error {
+		err := fanout.For(a.context(), workers, nb, func(w, i int) error {
 			ep := a.ds.Episodes[base+i]
 			g := graphs[w]
 			if g == nil {

@@ -170,7 +170,7 @@ func BenchmarkBuildGraphSizes(b *testing.B) {
 			b.ReportAllocs()
 			var edges int
 			for i := 0; i < b.N; i++ {
-				g, err := buildGraph(ds, MetricRTT)
+				g, err := buildGraph(ds, MetricRTT, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -190,7 +190,7 @@ func BenchmarkShortestAlternateSizes(b *testing.B) {
 		n    int
 	}{{"n64", 64}, {"n512", 512}, {"n2048", 2048}} {
 		ds := benchSparseDataset(bc.n, 32)
-		g, err := buildGraph(ds, MetricRTT)
+		g, err := buildGraph(ds, MetricRTT, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func BenchmarkBuildGraph(b *testing.B) {
 	ds := benchDataset(40)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := buildGraph(ds, MetricRTT); err != nil {
+		if _, err := buildGraph(ds, MetricRTT, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -221,7 +221,7 @@ func BenchmarkBuildGraph(b *testing.B) {
 
 func BenchmarkShortestAlternate(b *testing.B) {
 	ds := benchDataset(40)
-	g, err := buildGraph(ds, MetricRTT)
+	g, err := buildGraph(ds, MetricRTT, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

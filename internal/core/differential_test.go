@@ -150,7 +150,7 @@ func TestDifferentialDatasetBuild(t *testing.T) {
 		}
 	}
 	for _, metric := range []Metric{MetricRTT, MetricLoss, MetricPropDelay} {
-		g, err := buildGraph(ds, metric)
+		g, err := buildGraph(ds, metric, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,6 +27,7 @@ import (
 
 	"pathsel/internal/csr"
 	"pathsel/internal/dataset"
+	"pathsel/internal/netsim"
 	"pathsel/internal/stats"
 	"pathsel/internal/topology"
 )
@@ -272,20 +273,23 @@ func metricEdge(metric Metric, to int, s stats.Summary) edge {
 }
 
 // buildGraph constructs the per-metric measurement graph from a dataset,
-// returning it frozen and ready for concurrent searches.
-func buildGraph(ds *dataset.Dataset, metric Metric) (*graph, error) {
+// returning it frozen and ready for concurrent searches. A non-nil
+// bucket restricts every edge to the samples taken in that time-of-day
+// bucket (RTT and loss only).
+func buildGraph(ds *dataset.Dataset, metric Metric, b *netsim.Bucket) (*graph, error) {
 	g := newGraph(ds.Hosts, nil)
-	if err := stageGraph(g, ds, metric); err != nil {
+	if err := stageGraph(g, ds, metric, b); err != nil {
 		return nil, err
 	}
 	g.freeze()
 	return g, nil
 }
 
-// stageGraph stages a dataset's measured pairs into an existing (reset)
-// graph; callers that pool graphs reuse the staging and CSR slabs across
-// builds.
-func stageGraph(g *graph, ds *dataset.Dataset, metric Metric) error {
+// stageGraph stages a dataset's measured pairs into an empty graph.
+func stageGraph(g *graph, ds *dataset.Dataset, metric Metric, b *netsim.Bucket) error {
+	if b != nil && metric != MetricRTT && metric != MetricLoss {
+		return fmt.Errorf("core: bucketed analysis supports RTT and loss, not %v", metric)
+	}
 	for _, k := range ds.PairKeys() {
 		si, ok1 := g.index[k.Src]
 		di, ok2 := g.index[k.Dst]
@@ -293,27 +297,25 @@ func stageGraph(g *graph, ds *dataset.Dataset, metric Metric) error {
 			return fmt.Errorf("core: path %v references host outside dataset host list", k)
 		}
 		var s stats.Summary
-		switch metric {
-		case MetricRTT:
-			sum, ok := ds.MeanRTT(k)
-			if !ok {
-				continue
-			}
-			s = sum
-		case MetricLoss:
-			sum, ok := ds.LossRate(k)
-			if !ok {
-				continue
-			}
-			s = sum
-		case MetricPropDelay:
-			v, ok := ds.PropagationDelay(k, PropagationQuantile)
-			if !ok {
-				continue
-			}
+		var ok bool
+		switch {
+		case metric == MetricRTT && b == nil:
+			s, ok = ds.MeanRTT(k)
+		case metric == MetricRTT:
+			s, ok = ds.MeanRTTBucket(k, *b)
+		case metric == MetricLoss && b == nil:
+			s, ok = ds.LossRate(k)
+		case metric == MetricLoss:
+			s, ok = ds.LossRateBucket(k, *b)
+		case metric == MetricPropDelay:
+			var v float64
+			v, ok = ds.PropagationDelay(k, PropagationQuantile)
 			s = stats.Summary{N: ds.Paths[k].Measurements, Mean: v}
 		default:
 			return fmt.Errorf("core: unknown metric %v", metric)
+		}
+		if !ok {
+			continue
 		}
 		g.addEdge(si, metricEdge(metric, di, s))
 	}

@@ -63,7 +63,7 @@ func TestBuildGraphRTT(t *testing.T) {
 	ds := dataset.New("g", hostIDs(3))
 	addRTT(ds, 0, 1, 10, 20, 30)
 	addRTT(ds, 1, 2, 5, 5)
-	g, err := buildGraph(ds, MetricRTT)
+	g, err := buildGraph(ds, MetricRTT, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestBuildGraphRTT(t *testing.T) {
 func TestBuildGraphLoss(t *testing.T) {
 	ds := dataset.New("g", hostIDs(2))
 	addLoss(ds, 0, 1, 2, 10)
-	g, err := buildGraph(ds, MetricLoss)
+	g, err := buildGraph(ds, MetricLoss, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestBuildGraphProp(t *testing.T) {
 		vals[i] = float64(i + 1)
 	}
 	addRTT(ds, 0, 1, vals...)
-	g, err := buildGraph(ds, MetricPropDelay)
+	g, err := buildGraph(ds, MetricPropDelay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestShortestAlternateSimple(t *testing.T) {
 	addRTT(ds, 0, 1, 100)
 	addRTT(ds, 0, 2, 20)
 	addRTT(ds, 2, 1, 20)
-	g, err := buildGraph(ds, MetricRTT)
+	g, err := buildGraph(ds, MetricRTT, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestShortestAlternateNeverUsesDirectEdge(t *testing.T) {
 	addRTT(ds, 0, 1, 1)
 	addRTT(ds, 0, 2, 50)
 	addRTT(ds, 2, 1, 50)
-	g, _ := buildGraph(ds, MetricRTT)
+	g, _ := buildGraph(ds, MetricRTT, nil)
 	path, ok := g.shortestAlternate(0, 1, 0, nil)
 	if !ok {
 		t.Fatal("no alternate")
@@ -166,7 +166,7 @@ func TestShortestAlternateRespectsHopLimit(t *testing.T) {
 	addRTT(ds, 3, 1, 10)
 	addRTT(ds, 0, 4, 50)
 	addRTT(ds, 4, 1, 50)
-	g, _ := buildGraph(ds, MetricRTT)
+	g, _ := buildGraph(ds, MetricRTT, nil)
 
 	path, ok := g.shortestAlternate(0, 1, 0, nil)
 	if !ok || len(path) != 4 {
@@ -189,7 +189,7 @@ func TestShortestAlternateExclusion(t *testing.T) {
 	addRTT(ds, 2, 1, 10)
 	addRTT(ds, 0, 3, 30)
 	addRTT(ds, 3, 1, 30)
-	g, _ := buildGraph(ds, MetricRTT)
+	g, _ := buildGraph(ds, MetricRTT, nil)
 	excluded := make([]bool, 4)
 	excluded[2] = true
 	for _, maxVia := range []int{0, 1} {
@@ -203,7 +203,7 @@ func TestShortestAlternateExclusion(t *testing.T) {
 func TestShortestAlternateNone(t *testing.T) {
 	ds := dataset.New("g", hostIDs(3))
 	addRTT(ds, 0, 1, 10)
-	g, _ := buildGraph(ds, MetricRTT)
+	g, _ := buildGraph(ds, MetricRTT, nil)
 	for _, maxVia := range []int{0, 1, 3} {
 		if _, ok := g.shortestAlternate(0, 1, maxVia, nil); ok {
 			t.Fatalf("maxVia=%d: found alternate in edgeless graph", maxVia)
@@ -215,7 +215,7 @@ func TestComposePathLoss(t *testing.T) {
 	ds := dataset.New("g", hostIDs(3))
 	addLoss(ds, 0, 2, 1, 10) // 10%
 	addLoss(ds, 2, 1, 2, 10) // 20%
-	g, _ := buildGraph(ds, MetricLoss)
+	g, _ := buildGraph(ds, MetricLoss, nil)
 	v, sum, err := g.composePath(MetricLoss, []int{0, 2, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestComposePathLoss(t *testing.T) {
 func TestComposePathErrors(t *testing.T) {
 	ds := dataset.New("g", hostIDs(3))
 	addRTT(ds, 0, 1, 10)
-	g, _ := buildGraph(ds, MetricRTT)
+	g, _ := buildGraph(ds, MetricRTT, nil)
 	if _, _, err := g.composePath(MetricRTT, []int{0}); err == nil {
 		t.Error("short path should error")
 	}
@@ -259,7 +259,7 @@ func TestBoundedMatchesBruteForce(t *testing.T) {
 				addRTT(ds, i, j, 1+math.Floor(rng.Float64()*100))
 			}
 		}
-		g, err := buildGraph(ds, MetricRTT)
+		g, err := buildGraph(ds, MetricRTT, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +334,7 @@ func TestUnlimitedMatchesBruteForce(t *testing.T) {
 				addRTT(ds, i, j, 1+math.Floor(rng.Float64()*50))
 			}
 		}
-		g, err := buildGraph(ds, MetricRTT)
+		g, err := buildGraph(ds, MetricRTT, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

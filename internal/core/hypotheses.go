@@ -1,12 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
 	"pathsel/internal/dataset"
-	"pathsel/internal/netsim"
+	"pathsel/internal/fanout"
 	"pathsel/internal/stats"
 	"pathsel/internal/topology"
 )
@@ -75,31 +74,6 @@ func ImprovementsWithCI(results []PairResult, confidence float64) []CIPoint {
 	return pts
 }
 
-// BucketResults computes pair results for one time-of-day bucket
-// (Section 6.3, Figures 9 and 10): edge weights are bucket-restricted
-// means.
-func (a *Analyzer) BucketResults(metric Metric, b netsim.Bucket, maxVia int) ([]PairResult, error) {
-	if metric != MetricRTT && metric != MetricLoss {
-		return nil, fmt.Errorf("core: bucketed analysis supports RTT and loss, not %v", metric)
-	}
-	g := newGraph(a.ds.Hosts, nil)
-	for _, k := range a.ds.PairKeys() {
-		si, di := g.index[k.Src], g.index[k.Dst]
-		var s stats.Summary
-		var ok bool
-		if metric == MetricRTT {
-			s, ok = a.ds.MeanRTTBucket(k, b)
-		} else {
-			s, ok = a.ds.LossRateBucket(k, b)
-		}
-		if !ok {
-			continue
-		}
-		g.addEdge(si, metricEdge(metric, di, s))
-	}
-	return a.bestAlternatesOn(g, metric, maxVia, nil)
-}
-
 // RemovalStep records one iteration of the greedy host-removal analysis.
 type RemovalStep struct {
 	Removed topology.HostID
@@ -143,7 +117,7 @@ func (a *Analyzer) GreedyRemoveTop(metric Metric, maxVia, n int) ([]RemovalStep,
 		}
 		means := make([]float64, len(candidates))
 		counts := make([]int, len(candidates))
-		err := parallelFor(a.context(), workers, len(candidates), func(w, i int) error {
+		err := fanout.For(a.context(), workers, len(candidates), func(w, i int) error {
 			h := candidates[i]
 			excl := bufs[w]
 			excl[h] = true
@@ -182,11 +156,15 @@ func (a *Analyzer) GreedyRemoveTop(metric Metric, maxVia, n int) ([]RemovalStep,
 		excluded[bestHost] = true
 		steps = append(steps, RemovalStep{Removed: g.hosts[bestHost], MeanImprovement: bestMean})
 	}
-	final, err := a.bestAlternatesOn(g, metric, maxVia, excluded)
+	removed := make([]topology.HostID, len(steps))
+	for i, st := range steps {
+		removed[i] = st.Removed
+	}
+	final, err := a.Query(QuerySpec{Metric: metric, MaxVia: maxVia, Exclude: Exclusions{Hosts: removed}})
 	if err != nil {
 		return nil, nil, err
 	}
-	return steps, final, nil
+	return steps, final.PairResults(), nil
 }
 
 // Contribution is a host's normalized improvement contribution: how often
@@ -228,7 +206,7 @@ func (a *Analyzer) ImprovementContributions(metric Metric) ([]Contribution, erro
 		pairs = append(pairs, pairRef{si: int32(si), di: int32(di), direct: direct.value})
 	}
 	vals := make([]float64, len(g.hosts))
-	err = parallelFor(a.context(), a.workers(), len(g.hosts), func(_, vi int) error {
+	err = fanout.For(a.context(), a.workers(), len(g.hosts), func(_, vi int) error {
 		total := 0.0
 		for _, p := range pairs {
 			si, di := int(p.si), int(p.di)
@@ -461,69 +439,4 @@ func GroupCensus(ds []DelayDecomposition) map[DelayGroup]int {
 		out[d.Group]++
 	}
 	return out
-}
-
-// CrossMetricResult judges an alternate selected under one metric by a
-// different metric: does the RTT-best detour also improve loss? The
-// paper selects alternates "according to a different metric in each
-// graph" and never crosses them; overlay systems must, because they
-// route one flow and care about every property at once.
-type CrossMetricResult struct {
-	Key dataset.PairKey
-	// SelectImprovement is the improvement under the selecting metric.
-	SelectImprovement float64
-	// JudgeImprovement is the same alternate's improvement under the
-	// judging metric.
-	JudgeImprovement float64
-}
-
-// CrossMetric selects best alternates with selectMetric and evaluates
-// those same paths under judgeMetric. Pairs whose chosen alternate has
-// an unmeasured hop under the judging metric are skipped.
-func (a *Analyzer) CrossMetric(selectMetric, judgeMetric Metric, maxVia int) ([]CrossMetricResult, error) {
-	if selectMetric == judgeMetric {
-		return nil, fmt.Errorf("core: select and judge metrics are both %v", selectMetric)
-	}
-	selGraph, err := a.graphFor(selectMetric)
-	if err != nil {
-		return nil, err
-	}
-	judgeGraph, err := a.graphFor(judgeMetric)
-	if err != nil {
-		return nil, err
-	}
-	var out []CrossMetricResult
-	for _, k := range a.ds.PairKeys() {
-		si, ok1 := selGraph.index[k.Src]
-		di, ok2 := selGraph.index[k.Dst]
-		if !ok1 || !ok2 {
-			continue
-		}
-		selDirect, found := selGraph.directEdge(si, di)
-		if !found {
-			continue
-		}
-		judgeDirect, found := judgeGraph.directEdge(si, di)
-		if !found {
-			continue
-		}
-		path, found := selGraph.shortestAlternate(si, di, maxVia, nil)
-		if !found {
-			continue
-		}
-		selValue, _, err := selGraph.composePath(selectMetric, path)
-		if err != nil {
-			return nil, err
-		}
-		judgeValue, _, err := judgeGraph.composePath(judgeMetric, path)
-		if err != nil {
-			continue // a hop lacks judge-metric measurements
-		}
-		out = append(out, CrossMetricResult{
-			Key:               k,
-			SelectImprovement: selDirect.value - selValue,
-			JudgeImprovement:  judgeDirect.value - judgeValue,
-		})
-	}
-	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"pathsel/internal/dataset"
 	"pathsel/internal/netsim"
 	"pathsel/internal/stats"
+	"pathsel/internal/tcpmodel"
 	"pathsel/internal/topology"
 )
 
@@ -79,11 +80,15 @@ func TestBucketResults(t *testing.T) {
 		ds.RecordEcho(k21, night+netsim.Time(i), []float64{30}, []bool{false}, nil, 1)
 	}
 	a := NewAnalyzer(ds)
-	mres, err := a.BucketResults(MetricRTT, netsim.BucketMorning, 0)
+	bucket := func(metric Metric, b netsim.Bucket) ([]PairResult, error) {
+		rs, err := a.Query(QuerySpec{Metric: metric, Bucket: &b})
+		return rs.PairResults(), err
+	}
+	mres, err := bucket(MetricRTT, netsim.BucketMorning)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nres, err := a.BucketResults(MetricRTT, netsim.BucketNight, 0)
+	nres, err := bucket(MetricRTT, netsim.BucketNight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +101,21 @@ func TestBucketResults(t *testing.T) {
 	if math.Abs(nres[0].Improvement()-(-10)) > 1e-9 {
 		t.Errorf("night improvement %f, want -10", nres[0].Improvement())
 	}
-	if _, err := a.BucketResults(MetricPropDelay, netsim.BucketNight, 0); err == nil {
+	if _, err := bucket(MetricPropDelay, netsim.BucketNight); err == nil {
 		t.Error("prop-delay bucketing should be rejected")
+	}
+	nightB := netsim.BucketNight
+	if _, err := a.Query(QuerySpec{Bucket: &nightB, Bandwidth: &BandwidthQuery{Model: tcpmodel.Default()}}); err == nil {
+		t.Error("a bucketed bandwidth query should be rejected")
+	}
+	// Bucketed graphs stage through the same path as the cached ones:
+	// a path whose endpoint is outside the host list is an error, not a
+	// silent edge from vertex 0.
+	stray := dataset.New("stray", hostIDs(3))
+	stray.RecordEcho(dataset.PairKey{Src: 0, Dst: 7}, night, []float64{30}, []bool{false}, nil, 1)
+	stray.RecordEcho(k01, night, []float64{50}, []bool{false}, nil, 1)
+	if _, err := NewAnalyzer(stray).Query(QuerySpec{Metric: MetricRTT, Bucket: &nightB}); err == nil {
+		t.Error("a path to a host outside the host list should be rejected")
 	}
 }
 
@@ -286,41 +304,90 @@ func TestCrossMetric(t *testing.T) {
 	record(2, 1, 20, 5, 100)
 	record(0, 3, 60, 0, 100) // slow but clean relay
 	record(3, 1, 60, 0, 100)
-
+	k01 := dataset.PairKey{Src: 0, Dst: 1}
 	a := NewAnalyzer(ds)
-	res, err := a.CrossMetric(MetricRTT, MetricLoss, 1)
-	if err != nil {
-		t.Fatal(err)
+	// cross returns the k01 row: the improvement under the selecting
+	// metric and the same alternate's improvement under the other one.
+	cross := func(metric Metric) (selectImp, judgeImp float64) {
+		t.Helper()
+		rs, err := a.Query(QuerySpec{Metric: metric, MaxVia: 1, Annotate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range rs.Pairs {
+			if p.Key != k01 {
+				continue
+			}
+			alt := p.Alternates.Paths[0]
+			if metric == MetricRTT {
+				return p.Default.Value - alt.Value, p.Default.Loss - alt.Loss
+			}
+			return p.Default.Value - alt.Value, p.Default.LatencyMs - alt.LatencyMs
+		}
+		t.Fatalf("%v: no result for %v", metric, k01)
+		return 0, 0
 	}
-	if len(res) != 1 {
-		t.Fatalf("got %d results", len(res))
-	}
-	r := res[0]
-	if r.SelectImprovement <= 0 {
-		t.Errorf("RTT improvement %f should be positive", r.SelectImprovement)
+	sel, judge := cross(MetricRTT)
+	if sel <= 0 {
+		t.Errorf("RTT improvement %f should be positive", sel)
 	}
 	// Composed loss via 2: 1-(0.95)^2 = 9.75% vs default 1%: worse.
-	if r.JudgeImprovement >= 0 {
-		t.Errorf("loss judgement %f should be negative (fast relay is lossy)", r.JudgeImprovement)
+	if judge >= 0 {
+		t.Errorf("loss judgement %f should be negative (fast relay is lossy)", judge)
 	}
 
-	// The reverse cross: loss-selected alternate is slower than default?
-	// Via 3 loss-best: RTT 120 vs default 100 -> negative RTT judgement.
-	res2, err := a.CrossMetric(MetricLoss, MetricRTT, 1)
-	if err != nil {
-		t.Fatal(err)
+	// The reverse cross: the loss-best alternate (via 3) has RTT 120
+	// against the default's 100, a negative RTT judgement.
+	sel, judge = cross(MetricLoss)
+	if sel <= 0 {
+		t.Errorf("loss improvement %f should be positive", sel)
 	}
-	if len(res2) != 1 {
-		t.Fatalf("got %d results", len(res2))
+	if judge >= 0 {
+		t.Errorf("RTT judgement %f should be negative (clean relay is slow)", judge)
 	}
-	if res2[0].SelectImprovement <= 0 {
-		t.Errorf("loss improvement %f should be positive", res2[0].SelectImprovement)
-	}
-	if res2[0].JudgeImprovement >= 0 {
-		t.Errorf("RTT judgement %f should be negative (clean relay is slow)", res2[0].JudgeImprovement)
-	}
+}
 
-	if _, err := a.CrossMetric(MetricRTT, MetricRTT, 1); err == nil {
-		t.Error("same-metric cross accepted")
+// TestAnnotatedDefaultIsMeasured: a default path's cross-metric
+// annotation is its measured edge mean bit for bit, including a
+// 100%-loss default that composing through the clamped loss weight
+// would report as 0.999999.
+func TestAnnotatedDefaultIsMeasured(t *testing.T) {
+	ds := dataset.New("x", hostIDs(3))
+	// echo records one loss observation and, lost or not, one RTT
+	// sample, so a path can be both fully lossy and RTT-measured.
+	echo := func(src, dst int, rtt float64, lost bool) {
+		k := dataset.PairKey{Src: topology.HostID(src), Dst: topology.HostID(dst)}
+		ds.RecordEcho(k, 0, []float64{0, rtt}, []bool{lost, false}, nil, 1)
+	}
+	echo(0, 1, 100, true) // every probe lost
+	echo(0, 1, 40, true)
+	for i := 0; i < 7; i++ {
+		echo(1, 0, 30.1+float64(i), i < 3) // 3/7 has no exact binary form
+	}
+	for _, e := range [][2]int{{0, 2}, {2, 1}, {1, 2}, {2, 0}} {
+		echo(e[0], e[1], 10, false)
+	}
+	a := NewAnalyzer(ds)
+	for _, metric := range []Metric{MetricRTT, MetricLoss, MetricPropDelay} {
+		rs, err := a.Query(QuerySpec{Metric: metric, Annotate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs.Pairs) == 0 {
+			t.Fatalf("%v: no pairs", metric)
+		}
+		for _, p := range rs.Pairs {
+			loss, _ := ds.LossRate(p.Key)
+			rtt, _ := ds.MeanRTT(p.Key)
+			if math.Float64bits(p.Default.Loss) != math.Float64bits(loss.Mean) {
+				t.Errorf("%v %v: default loss %v, measured %v", metric, p.Key, p.Default.Loss, loss.Mean)
+			}
+			if math.Float64bits(p.Default.LatencyMs) != math.Float64bits(rtt.Mean) {
+				t.Errorf("%v %v: default latency %v, measured %v", metric, p.Key, p.Default.LatencyMs, rtt.Mean)
+			}
+		}
+	}
+	if l, _ := ds.LossRate(dataset.PairKey{Src: 0, Dst: 1}); l.Mean != 1 {
+		t.Fatalf("fixture: 0->1 loss %v, want 1", l.Mean)
 	}
 }

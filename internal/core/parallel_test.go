@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pathsel/internal/netsim"
 	"pathsel/internal/topology"
 )
 
@@ -37,6 +38,28 @@ func TestParallelMatchesSequential(t *testing.T) {
 				t.Errorf("%v/maxVia=%d: parallel results differ from sequential", metric, maxVia)
 			}
 		}
+	}
+	// Time-of-day buckets search graphs staged for each query.
+	compared := 0
+	for _, b := range netsim.Buckets() {
+		for _, metric := range []Metric{MetricRTT, MetricLoss} {
+			spec := QuerySpec{Metric: metric, Bucket: &b}
+			rs, err := seq.Query(spec)
+			if err != nil {
+				t.Fatalf("%v/%v sequential: %v", metric, b, err)
+			}
+			want := rs.PairResults()
+			if rs, err = par.Query(spec); err != nil {
+				t.Fatalf("%v/%v parallel: %v", metric, b, err)
+			}
+			if got := rs.PairResults(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%v/%v: parallel bucketed results differ from sequential", metric, b)
+			}
+			compared += len(want)
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no bucket had comparable pairs")
 	}
 }
 
@@ -104,7 +127,7 @@ func TestParallelMedianAlternates(t *testing.T) {
 // same path as the heap version used for large ones, for every pair.
 func TestDijkstraScanMatchesHeap(t *testing.T) {
 	ds := benchDataset(24)
-	g, err := buildGraph(ds, MetricRTT)
+	g, err := buildGraph(ds, MetricRTT, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +187,7 @@ func TestSharedTreeMatchesPerPair(t *testing.T) {
 			t.Fatal(err)
 		}
 		results := rs.PairResults()
-		g, err := buildGraph(ds, metric)
+		g, err := buildGraph(ds, metric, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,84 +208,11 @@ func TestSharedTreeMatchesPerPair(t *testing.T) {
 	}
 }
 
-func TestParallelFor(t *testing.T) {
-	// Every index runs exactly once.
-	n := 1000
-	hits := make([]int32, n)
-	if err := parallelFor(context.Background(), 7, n, func(_, i int) error {
-		hits[i]++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d ran %d times", i, h)
-		}
-	}
-
-	// The lowest-index error wins regardless of scheduling.
-	errLow, errHigh := errors.New("low"), errors.New("high")
-	err := parallelFor(context.Background(), 7, n, func(_, i int) error {
-		if i == 3 {
-			return errLow
-		}
-		if i == n-1 {
-			return errHigh
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("expected an error")
-	}
-	if !errors.Is(err, errLow) && !errors.Is(err, errHigh) {
-		t.Fatalf("unexpected error %v", err)
-	}
-
-	// Sequential fallback (workers<=1) must behave identically.
-	if err := parallelFor(context.Background(), 1, 5, func(w, i int) error {
-		if w != 0 {
-			t.Fatalf("sequential worker id %d", w)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestParallelForCancellation: a cancelled context stops the loop and
-// surfaces context.Canceled, in both parallel and sequential modes.
-func TestParallelForCancellation(t *testing.T) {
+// TestQueryCancelled: an analyzer bound to a cancelled context aborts
+// its computation with context.Canceled.
+func TestQueryCancelled(t *testing.T) {
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 7} {
-		ran := int32(0)
-		err := parallelFor(pre, workers, 1000, func(_, i int) error {
-			ran++
-			return nil
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d pre-cancelled: err %v", workers, err)
-		}
-	}
-
-	// Sequential mode cancelled mid-loop: exactly one iteration runs
-	// (the check precedes each index, and cancel fires inside the first).
-	ctx, cancelMid := context.WithCancel(context.Background())
-	ran := 0
-	err := parallelFor(ctx, 1, 1000, func(_, i int) error {
-		ran++
-		cancelMid()
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-loop cancel: err %v", err)
-	}
-	if ran != 1 {
-		t.Fatalf("sequential ran %d iterations after cancel, want 1", ran)
-	}
-
-	// An analyzer bound to a cancelled context aborts its computation.
 	ds := benchDataset(24)
 	if _, err := NewAnalyzer(ds).WithConcurrency(4).WithContext(pre).Query(QuerySpec{Metric: MetricRTT}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Query under cancelled ctx: %v", err)

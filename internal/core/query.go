@@ -6,6 +6,8 @@ import (
 	"sort"
 
 	"pathsel/internal/dataset"
+	"pathsel/internal/fanout"
+	"pathsel/internal/netsim"
 	"pathsel/internal/pathset"
 	"pathsel/internal/stats"
 	"pathsel/internal/tcpmodel"
@@ -74,17 +76,20 @@ type QuerySpec struct {
 	Keep     int
 	// Annotate forces full cross-metric annotation: every path gets
 	// LatencyMs and Loss composed from the RTT and loss measurement
-	// graphs, plus its interior AS set, even on plain K=1 queries.
-	// Without it, paths carry only the query metric's own annotation —
-	// AS sets are still computed whenever something consumes them
-	// (K > 1, MinDisjointness, or a Strategy).
+	// graphs, plus its interior AS set, even on plain K=1 queries. A
+	// default path's annotation is its measured edge mean. Without it,
+	// paths carry only the query metric's own annotation — AS sets are
+	// still computed whenever something consumes them (K > 1,
+	// MinDisjointness, or a Strategy).
 	Annotate bool
+	// Bucket, when non-nil, restricts every measured edge (annotation
+	// graphs included) to the samples taken in one time-of-day bucket,
+	// the paper's Section 6.3 breakdown. RTT and loss only; nil means
+	// all samples.
+	Bucket *netsim.Bucket
 	// Bandwidth, when non-nil, switches to the Mathis-model bandwidth
 	// query (see BandwidthQuery).
 	Bandwidth *BandwidthQuery
-	// Concurrency overrides the Analyzer's worker knob for this query
-	// when positive. Results are bit-identical for every setting.
-	Concurrency int
 }
 
 // PairPathSet is one pair's query result: the measured default path
@@ -154,9 +159,12 @@ func (a *Analyzer) Query(spec QuerySpec) (ResultSet, error) {
 		return ResultSet{}, fmt.Errorf("core: negative K %d", spec.K)
 	}
 	if spec.Bandwidth != nil {
+		if spec.Bucket != nil {
+			return ResultSet{}, fmt.Errorf("core: bandwidth queries take no time-of-day bucket")
+		}
 		return a.queryBandwidth(spec)
 	}
-	g, err := a.graphFor(spec.Metric)
+	g, err := a.queryGraph(spec.Metric, spec.Bucket)
 	if err != nil {
 		return ResultSet{}, err
 	}
@@ -169,9 +177,6 @@ func (a *Analyzer) Query(spec QuerySpec) (ResultSet, error) {
 		return ResultSet{}, err
 	}
 	workers := a.workers()
-	if spec.Concurrency > 0 {
-		workers = spec.Concurrency
-	}
 	k := spec.K
 	if k < 1 {
 		k = 1
@@ -184,24 +189,37 @@ func (a *Analyzer) Query(spec QuerySpec) (ResultSet, error) {
 		if err != nil {
 			return ResultSet{}, err
 		}
-		pairs = make([]PairPathSet, 0, len(results))
+		// Every pair's hop slices and one-path set come from three
+		// slabs; the 3-index slices cap each piece so an append by a
+		// consumer reallocates instead of overwriting a neighbour.
+		nHops := 0
 		for _, r := range results {
-			hops := make([]topology.HostID, 0, len(r.Via)+2)
-			hops = append(hops, r.Key.Src)
-			hops = append(hops, r.Via...)
-			hops = append(hops, r.Key.Dst)
-			alt := pathset.Path{
+			nHops += len(r.Via) + 2
+		}
+		altHops := make([]topology.HostID, 0, nHops)
+		defHops := make([]topology.HostID, 2*len(results))
+		alts := make([]pathset.Path, len(results))
+		pairs = make([]PairPathSet, len(results))
+		for i, r := range results {
+			start := len(altHops)
+			altHops = append(altHops, r.Key.Src)
+			altHops = append(altHops, r.Via...)
+			altHops = append(altHops, r.Key.Dst)
+			hops := altHops[start:len(altHops):len(altHops)]
+			alts[i] = pathset.Path{
 				Hops:    hops,
 				Weight:  a.hopsWeight(g, hops),
 				Value:   r.AltValue,
 				Summary: r.Alternate,
 			}
-			a.annotatePath(g, spec.Metric, ann, &alt)
-			pairs = append(pairs, PairPathSet{
+			a.annotatePath(g, spec.Metric, ann, &alts[i])
+			def := defHops[2*i : 2*i+2 : 2*i+2]
+			def[0], def[1] = r.Key.Src, r.Key.Dst
+			pairs[i] = PairPathSet{
 				Key:        r.Key,
-				Default:    a.defaultPath(g, spec.Metric, ann, r),
-				Alternates: pathset.PathSet{Paths: []pathset.Path{alt}},
-			})
+				Default:    a.defaultPath(g, spec.Metric, ann, r, def),
+				Alternates: pathset.PathSet{Paths: alts[i : i+1 : i+1]},
+			}
 		}
 	} else {
 		pairs, err = a.queryK(g, spec, k, excluded, ann, workers)
@@ -238,7 +256,7 @@ func (a *Analyzer) queryK(g *graph, spec QuerySpec, k int, excluded []bool, ann 
 	wa := newWorkerArenas(g, workers)
 	defer wa.release()
 	ys := make([]*yenState, workers)
-	err := parallelFor(a.context(), workers, len(jobs), func(w, i int) error {
+	err := fanout.For(a.context(), workers, len(jobs), func(w, i int) error {
 		j := jobs[i]
 		direct, found := g.directEdge(int(j.si), int(j.di))
 		if !found {
@@ -264,7 +282,7 @@ func (a *Analyzer) queryK(g *graph, spec QuerySpec, k int, excluded []bool, ann 
 		def := PairResult{Key: j.key, Default: direct.summary, DefaultValue: direct.value}
 		slots[i] = PairPathSet{
 			Key:        j.key,
-			Default:    a.defaultPath(g, spec.Metric, ann, def),
+			Default:    a.defaultPath(g, spec.Metric, ann, def, []topology.HostID{j.key.Src, j.key.Dst}),
 			Alternates: set,
 		}
 		valid[i] = true
@@ -314,7 +332,8 @@ type annotations struct {
 }
 
 // annotationsFor resolves the annotation plan: AS sets whenever
-// something consumes them, cross-metric graphs only under Annotate.
+// something consumes them, cross-metric graphs only under Annotate and
+// only for the metrics the query's own value does not already fill.
 func (a *Analyzer) annotationsFor(spec QuerySpec) (annotations, error) {
 	ann := annotations{
 		ases: spec.Annotate || spec.K > 1 || spec.MinDisjointness > 0 || spec.Strategy != nil,
@@ -322,15 +341,17 @@ func (a *Analyzer) annotationsFor(spec QuerySpec) (annotations, error) {
 	if !spec.Annotate {
 		return ann, nil
 	}
-	rtt, err := a.graphFor(MetricRTT)
-	if err != nil {
-		return annotations{}, err
+	var err error
+	if spec.Metric != MetricRTT {
+		if ann.rtt, err = a.queryGraph(MetricRTT, spec.Bucket); err != nil {
+			return annotations{}, err
+		}
 	}
-	loss, err := a.graphFor(MetricLoss)
-	if err != nil {
-		return annotations{}, err
+	if spec.Metric != MetricLoss {
+		if ann.loss, err = a.queryGraph(MetricLoss, spec.Bucket); err != nil {
+			return annotations{}, err
+		}
 	}
-	ann.rtt, ann.loss = rtt, loss
 	return ann, nil
 }
 
@@ -350,10 +371,10 @@ func (a *Analyzer) composedPath(g *graph, metric Metric, ann annotations, vp []i
 }
 
 // defaultPath builds the pair's default (direct) path from a
-// PairResult row.
-func (a *Analyzer) defaultPath(g *graph, metric Metric, ann annotations, r PairResult) pathset.Path {
+// PairResult row over the caller's two-element hop slice.
+func (a *Analyzer) defaultPath(g *graph, metric Metric, ann annotations, r PairResult, hops []topology.HostID) pathset.Path {
 	p := pathset.Path{
-		Hops:    []topology.HostID{r.Key.Src, r.Key.Dst},
+		Hops:    hops,
 		Value:   r.DefaultValue,
 		Summary: r.Default,
 	}
@@ -411,7 +432,10 @@ func (a *Analyzer) annotatePath(g *graph, metric Metric, ann annotations, p *pat
 	}
 }
 
-// composeOn evaluates a host path on another metric's graph.
+// composeOn evaluates a host path on another metric's graph. A
+// one-hop path reads its measured edge value: composing it would round
+// a loss rate through its clamped weight (a 100%-loss edge would come
+// back as 0.999999).
 func (a *Analyzer) composeOn(g *graph, metric Metric, hops []topology.HostID) (float64, bool) {
 	vp := make([]int, len(hops))
 	for i, h := range hops {
@@ -420,6 +444,10 @@ func (a *Analyzer) composeOn(g *graph, metric Metric, hops []topology.HostID) (f
 			return 0, false
 		}
 		vp[i] = v
+	}
+	if len(vp) == 2 {
+		e, ok := g.directEdge(vp[0], vp[1])
+		return e.value, ok
 	}
 	value, _, err := g.composePath(metric, vp)
 	if err != nil {
@@ -502,13 +530,10 @@ func (a *Analyzer) queryBandwidth(spec QuerySpec) (ResultSet, error) {
 		st[key] = pathStat{rtt: rtt.Mean, loss: loss.Mean}
 	}
 	workers := a.workers()
-	if spec.Concurrency > 0 {
-		workers = spec.Concurrency
-	}
 	keys := a.ds.PairKeys()
 	slots := make([]PairPathSet, len(keys))
 	valid := make([]bool, len(keys))
-	err := parallelFor(a.context(), workers, len(keys), func(_, i int) error {
+	err := fanout.For(a.context(), workers, len(keys), func(_, i int) error {
 		key := keys[i]
 		if excludedSet[key.Src] || excludedSet[key.Dst] {
 			return nil

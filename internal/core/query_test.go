@@ -22,7 +22,7 @@ func oracleAlternates(a *Analyzer, metric Metric, maxVia int) ([]PairResult, err
 	if err != nil {
 		return nil, err
 	}
-	return a.bestAlternatesOn(g, metric, maxVia, nil)
+	return a.bestAlternatesWith(g, metric, maxVia, nil, a.workers())
 }
 
 // oracleBandwidthAlternates is a direct one-hop enumeration of the
@@ -152,7 +152,7 @@ func TestQueryExclusions(t *testing.T) {
 	mask := make([]bool, len(g.hosts))
 	mask[g.index[topology.HostID(2)]] = true
 	mask[g.index[topology.HostID(5)]] = true
-	want, err := a.bestAlternatesOn(g, MetricRTT, 0, mask)
+	want, err := a.bestAlternatesWith(g, MetricRTT, 0, mask, a.workers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,5 +389,36 @@ func TestQueryRejectsNegativeK(t *testing.T) {
 	ds := randomDataset(1, 5, 0.6)
 	if _, err := NewAnalyzer(ds).Query(QuerySpec{Metric: MetricRTT, K: -1}); err == nil {
 		t.Error("negative K should error")
+	}
+}
+
+// TestQueryK1SlabsAreCapped: K=1 results share three slabs, so every
+// piece must be capped at its length; appending to one pair's hops or
+// path set must reallocate, never overwrite the next pair's.
+func TestQueryK1SlabsAreCapped(t *testing.T) {
+	ds := randomDataset(5, 10, 0.6)
+	rs, err := NewAnalyzer(ds).Query(QuerySpec{Metric: MetricRTT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Pairs) < 2 {
+		t.Fatalf("only %d pairs", len(rs.Pairs))
+	}
+	for _, p := range rs.Pairs {
+		alt := p.Alternates.Paths[0]
+		if cap(p.Default.Hops) != 2 || cap(alt.Hops) != len(alt.Hops) || cap(p.Alternates.Paths) != 1 {
+			t.Fatalf("%v: caps default %d, alternate %d of %d, set %d",
+				p.Key, cap(p.Default.Hops), cap(alt.Hops), len(alt.Hops), cap(p.Alternates.Paths))
+		}
+	}
+	next := rs.Pairs[1]
+	wantDef := append([]topology.HostID(nil), next.Default.Hops...)
+	wantAlt := append([]topology.HostID(nil), next.Alternates.Paths[0].Hops...)
+	first := rs.Pairs[0]
+	_ = append(first.Default.Hops, 99)
+	_ = append(first.Alternates.Paths[0].Hops, 99)
+	_ = append(first.Alternates.Paths, pathset.Path{})
+	if !reflect.DeepEqual(next.Default.Hops, wantDef) || !reflect.DeepEqual(next.Alternates.Paths[0].Hops, wantAlt) {
+		t.Error("appending to one pair's hops changed its neighbour")
 	}
 }

@@ -139,11 +139,11 @@ func bucketSeries(s *Suite, metric core.Metric) ([]Series, error) {
 	a := s.analyzer(s.UW3)
 	var out []Series
 	for _, b := range netsim.Buckets() {
-		results, err := a.BucketResults(metric, b, 0)
+		rs, err := a.Query(core.QuerySpec{Metric: metric, Bucket: &b})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Series{Name: b.String(), CDF: core.ImprovementCDF(results)})
+		out = append(out, Series{Name: b.String(), CDF: core.ImprovementCDF(rs.PairResults())})
 	}
 	return out, nil
 }

@@ -3,11 +3,9 @@ package experiments
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
+	"pathsel/internal/fanout"
 	"pathsel/internal/forward"
 	"pathsel/internal/netsim"
 	"pathsel/internal/packetnet"
@@ -153,14 +151,12 @@ func ValidatePacketLevel(s *Suite) (PacketValidation, error) {
 		ctx = context.Background()
 	}
 	results := make([]PacketPairResult, len(jobs))
-	errs := make([]error, len(jobs))
-	run := func(i int) {
+	run := func(_, i int) error {
 		j := jobs[i]
 		// Model inputs: the two-way netsim path state at the window.
 		fs, rs, err := ns.EvalRoundTrip(j.src.Src, j.src.Dst, j.src.Links, j.rev.Links, pvPeakTime)
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		rtt := fs.DelayMs + rs.DelayMs
 		loss := 1 - (1-fs.LossProb)*(1-rs.LossProb)
@@ -171,14 +167,12 @@ func ValidatePacketLevel(s *Suite) (PacketValidation, error) {
 		}
 		r.MathisKBs, err = model.BandwidthKBs(rtt, loss)
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		rng := rand.New(rand.NewSource(s.Config.Seed + 7001*int64(i)))
 		sim, err := tcpsim.Simulate(simCfg, rng, rtt, loss, duration)
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		r.SimKBs = sim.ThroughputKBs
 
@@ -188,13 +182,11 @@ func ValidatePacketLevel(s *Suite) (PacketValidation, error) {
 		pcfg.Seed = s.Config.Seed + 9001*int64(i)
 		pn, err := packetnet.New(s.TopoD2, ns, forward.NewCache(fwd), pcfg)
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		st, err := pn.Transfer(j.src.Src, j.src.Dst, pvPeakTime, duration)
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		r.PacketKBs = st.GoodputKBs
 		r.Retransmits = st.Sender.Retransmits
@@ -202,14 +194,10 @@ func ValidatePacketLevel(s *Suite) (PacketValidation, error) {
 		r.FastRetx = st.Sender.FastRetransmits
 		r.OutOfOrder = st.Receiver.OutOfOrder
 		results[i] = r
+		return nil
 	}
-	if err := pvParallel(ctx, s.Config.Concurrency, len(jobs), run); err != nil {
+	if err := fanout.For(ctx, fanout.Workers(s.Config.Concurrency), len(jobs), run); err != nil {
 		return PacketValidation{}, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return PacketValidation{}, err
-		}
 	}
 	out.Results = results
 
@@ -289,43 +277,4 @@ func packetRegimes(results []PacketPairResult) []PacketRegime {
 		out = append(out, reg)
 	}
 	return out
-}
-
-// pvParallel runs fn(i) for i in [0,n) across the configured worker
-// count (0 = one per CPU, 1 = sequential); callers write only slot i,
-// so results are identical at any setting.
-func pvParallel(ctx context.Context, concurrency, n int, fn func(i int)) error {
-	workers := concurrency
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(i)
-		}
-		return nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"pathsel/internal/bgp"
 	"pathsel/internal/core"
@@ -10,6 +11,7 @@ import (
 	"pathsel/internal/igp"
 	"pathsel/internal/measure"
 	"pathsel/internal/netsim"
+	"pathsel/internal/pathset"
 	"pathsel/internal/probe"
 	"pathsel/internal/stats"
 	"pathsel/internal/topology"
@@ -286,29 +288,43 @@ type CrossMetricSummary struct {
 func CrossMetrics(s *Suite) (CrossMetricSummary, error) {
 	a := s.analyzer(s.UW3)
 	var out CrossMetricSummary
-	rtt, err := a.CrossMetric(core.MetricRTT, core.MetricLoss, 0)
-	if err != nil {
+	var err error
+	if out.RTTWinners, out.RTTAlsoLoss, err = crossMetric(a, core.MetricRTT); err != nil {
 		return out, err
 	}
-	for _, r := range rtt {
-		if r.SelectImprovement > 0 {
-			out.RTTWinners++
-			if r.JudgeImprovement > 0 {
-				out.RTTAlsoLoss++
+	out.LossWinners, out.LossAlsoRTT, err = crossMetric(a, core.MetricLoss)
+	return out, err
+}
+
+// crossMetric selects best alternates under metric (RTT or loss) and
+// judges them by the other one. winners counts the pairs whose
+// alternate beats the default under metric, and also those of them
+// whose alternate beats the default under the judging metric too. A
+// pair whose default or alternate has a hop unmeasured under the
+// judging metric is skipped.
+func crossMetric(a *core.Analyzer, metric core.Metric) (winners, also int, err error) {
+	rs, err := a.Query(core.QuerySpec{Metric: metric, Annotate: true})
+	if err != nil {
+		return 0, 0, err
+	}
+	judge := func(p pathset.Path) float64 {
+		if metric == core.MetricRTT {
+			return p.Loss
+		}
+		return p.LatencyMs
+	}
+	for _, p := range rs.Pairs {
+		alt := p.Alternates.Paths[0]
+		def, altJudged := judge(p.Default), judge(alt)
+		if math.IsNaN(def) || math.IsNaN(altJudged) {
+			continue
+		}
+		if p.Default.Value-alt.Value > 0 {
+			winners++
+			if def-altJudged > 0 {
+				also++
 			}
 		}
 	}
-	loss, err := a.CrossMetric(core.MetricLoss, core.MetricRTT, 0)
-	if err != nil {
-		return out, err
-	}
-	for _, r := range loss {
-		if r.SelectImprovement > 0 {
-			out.LossWinners++
-			if r.JudgeImprovement > 0 {
-				out.LossAlsoRTT++
-			}
-		}
-	}
-	return out, nil
+	return winners, also, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"pathsel/internal/fanout"
 	"pathsel/internal/netsim"
 	"pathsel/internal/topology"
 )
@@ -288,12 +289,13 @@ func (c *Controller) decideOne(p int, now netsim.Time, scratch *relayScratch) in
 // switches made this tick.
 func (c *Controller) Decide(ctx context.Context, now netsim.Time) (int, error) {
 	next := make([]int, len(c.routes))
-	workers := autoWorkers(c.cfg.Concurrency)
+	workers := fanout.Workers(c.cfg.Concurrency)
 	if len(c.scratch) < workers {
 		c.scratch = make([]relayScratch, workers)
 	}
-	err := parallelFor(ctx, workers, len(c.routes), func(w, p int) {
+	err := fanout.For(ctx, workers, len(c.routes), func(w, p int) error {
 		next[p] = c.decideOne(p, now, &c.scratch[w])
+		return nil
 	})
 	if err != nil {
 		return 0, err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"pathsel/internal/fanout"
 	"pathsel/internal/netsim"
 	"pathsel/internal/topology"
 )
@@ -131,7 +132,7 @@ func EvaluateWithMetrics(ctx context.Context, cond Conditions, cfg Config, m *Me
 		cfg:     cfg,
 		ctrl:    ctrl,
 		mesh:    ctrl.mesh,
-		workers: autoWorkers(cfg.Concurrency),
+		workers: fanout.Workers(cfg.Concurrency),
 		metrics: m,
 	}
 	return h.run()
@@ -199,17 +200,17 @@ func (h *harness) resolveTruth(t netsim.Time, edges []int) error {
 		h.fwdLnk[e], h.revLnk[e] = fp.Links, rp.Links
 		h.fwdHops[e], h.revHops[e] = fp.Hops(), rp.Hops()
 	}
-	return parallelFor(h.ctx, h.workers, len(missing), func(_, k int) {
+	return fanout.For(h.ctx, h.workers, len(missing), func(_, k int) error {
 		e := missing[k]
 		if !h.fwdOK[e] {
-			return
+			return nil
 		}
 		ij := h.mesh.pairs[e]
 		src, dst := h.cond.Nodes[ij[0]], h.cond.Nodes[ij[1]]
 		fst, rst, err := h.cond.Net.EvalRoundTrip(src, dst, h.fwdLnk[e], h.revLnk[e], t)
 		if err != nil {
 			h.truth[e] = edgeTruth{}
-			return
+			return nil
 		}
 		h.truth[e] = edgeTruth{
 			ok:      true,
@@ -220,6 +221,7 @@ func (h *harness) resolveTruth(t netsim.Time, edges []int) error {
 			fwdHops: h.fwdHops[e],
 			revHops: h.revHops[e],
 		}
+		return nil
 	})
 }
 
@@ -229,21 +231,22 @@ func (h *harness) resolveTruth(t netsim.Time, edges []int) error {
 // executes them. The generator is the worker's probeRNG re-seeded, and
 // draws what rand.New(rand.NewSource(key)) would.
 func (h *harness) drawSamples(plan []int, seqs []uint64, samples []Sample) error {
-	return parallelFor(h.ctx, h.workers, len(plan), func(w, k int) {
+	return fanout.For(h.ctx, h.workers, len(plan), func(w, k int) error {
 		e := plan[k]
 		tr := h.truth[e]
 		if !tr.ok {
 			samples[k] = Sample{Lost: true}
-			return
+			return nil
 		}
 		rng := h.rngs[w].reset(int64(mix64(uint64(h.cfg.Seed), uint64(e), seqs[k])))
 		if rng.Float64() < tr.loss {
 			samples[k] = Sample{Lost: true}
-			return
+			return nil
 		}
 		rtt := h.cond.Net.SampleDelay(rng, tr.fwd, tr.fwdHops) +
 			h.cond.Net.SampleDelay(rng, tr.rev, tr.revHops)
 		samples[k] = Sample{RTTMs: rtt}
+		return nil
 	})
 }
 

@@ -226,8 +226,12 @@ func quantilePos(n int, q float64) (lo, hi int, frac float64) {
 	return lo, hi, pos - float64(lo)
 }
 
-// lerp interpolates between x (weight 1-frac) and y (weight frac).
-func lerp(x, y, frac float64) float64 { return x*(1-frac) + y*frac }
+// lerp interpolates between x (weight 1-frac) and y (weight frac),
+// for x <= y. The weighted sum can round past an endpoint (3 and 3 at
+// frac 0.018 give 2.9999999999999996), so it is clamped to [x, y].
+func lerp(x, y, frac float64) float64 {
+	return math.Min(math.Max(x*(1-frac)+y*frac, x), y)
+}
 
 // Median returns the sample median.
 func Median(data []float64) (float64, error) { return Quantile(data, 0.5) }
