@@ -38,12 +38,14 @@ race:
 # evaluations, and one traceroute over a warm quick suite (the probe
 # benchmark lives in the root harness, beside the suite it needs); then
 # a cold quick suite build, whose B/op and allocs/op track the
-# campaigns' allocation next to the kernels.
+# campaigns' allocation next to the kernels, and the quick snapshot
+# warm start (decode and reassembly, from memory and from disk), whose
+# B/op tracks the decoded datasets' allocation beside the build's.
 bench:
 	$(GO) test -bench 'BestAlternates|GreedyRemoveTop' -benchmem -run '^$$' ./internal/core/
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/netsim/
 	$(GO) test -bench 'ProbeTraceroute' -benchmem -run '^$$' .
-	$(GO) test -bench 'SuiteBuildPreset/quick' -benchmem -run '^$$' .
+	$(GO) test -bench '^Benchmark(SuiteBuildPreset|ServeWarmStart|SnapshotLoad)$$/^quick$$' -benchmem -run '^$$' .
 
 # Machine-readable baseline of the root benchmark harness: one
 # iteration of every exhibit (enough for a committed reference point;

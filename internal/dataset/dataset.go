@@ -10,6 +10,9 @@ package dataset
 
 import (
 	"fmt"
+	"iter"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -34,16 +37,97 @@ func (k PairKey) String() string { return fmt.Sprintf("%d->%d", k.Src, k.Dst) }
 // Reverse returns the key of the opposite direction.
 func (k PairKey) Reverse() PairKey { return PairKey{Src: k.Dst, Dst: k.Src} }
 
-// RTTSample is one successful echo round trip.
-type RTTSample struct {
-	At    netsim.Time
-	RTTMs float64
+// MaxEchoRun is the most samples of either kind one invocation record
+// holds: its counts are bytes. An invocation with more samples takes
+// several consecutive records with the same time.
+const MaxEchoRun = math.MaxUint8
+
+// EchoCounts is one invocation record's sample counts: how many of its
+// attempts returned a round trip, and how many loss outcomes it keeps.
+type EchoCounts struct{ RTT, Loss uint8 }
+
+// Echoes stores a path's echo samples one record per probe invocation.
+// A traceroute takes its samples at one time (the paper's "three
+// consecutive samples of the round trip time"), so the time is stored
+// once per record, not once per sample. At and Counts run in parallel,
+// one entry per record; RTTMs and Lost hold each record's samples back
+// to back, in recorded order. Analysis code reads the samples through
+// RTTSamples and LossSamples (or the plain value slices); the layout is
+// for the recorder and the snapshot codec.
+type Echoes struct {
+	// At is each record's invocation time.
+	At []netsim.Time
+	// Counts is each record's number of RTT and loss samples.
+	Counts []EchoCounts
+	// RTTMs holds the successful round trips.
+	RTTMs []float64
+	// Lost holds the kept loss outcomes (true for a lost attempt).
+	Lost []bool
 }
 
-// LossSample is one echo attempt outcome.
-type LossSample struct {
-	At   netsim.Time
-	Lost bool
+// RTTSamples yields every successful round trip with its invocation
+// time, in recorded order.
+func (e *Echoes) RTTSamples() iter.Seq2[netsim.Time, float64] {
+	return func(yield func(netsim.Time, float64) bool) {
+		off := 0
+		for i, at := range e.At {
+			end := off + int(e.Counts[i].RTT)
+			for _, v := range e.RTTMs[off:end] {
+				if !yield(at, v) {
+					return
+				}
+			}
+			off = end
+		}
+	}
+}
+
+// LossSamples yields every kept loss outcome with its invocation time,
+// in recorded order.
+func (e *Echoes) LossSamples() iter.Seq2[netsim.Time, bool] {
+	return func(yield func(netsim.Time, bool) bool) {
+		off := 0
+		for i, at := range e.At {
+			end := off + int(e.Counts[i].Loss)
+			for _, lost := range e.Lost[off:end] {
+				if !yield(at, lost) {
+					return
+				}
+			}
+			off = end
+		}
+	}
+}
+
+// record appends one invocation: the RTT of every attempt that was not
+// lost, and the outcomes of the first keep attempts. It splits an
+// invocation of more than MaxEchoRun attempts into several records and
+// stores none for an invocation that kept no sample.
+func (e *Echoes) record(at netsim.Time, rtts []float64, lost []bool, keep int) {
+	for base := 0; base < len(lost); base += MaxEchoRun {
+		var c EchoCounts
+		for i := base; i < min(base+MaxEchoRun, len(lost)); i++ {
+			if !lost[i] {
+				e.RTTMs = append(e.RTTMs, rtts[i])
+				c.RTT++
+			}
+			if i < keep {
+				e.Lost = append(e.Lost, lost[i])
+				c.Loss++
+			}
+		}
+		if c != (EchoCounts{}) {
+			e.At = append(e.At, at)
+			e.Counts = append(e.Counts, c)
+		}
+	}
+}
+
+// Clip returns e with every slice's capacity cut to its length, so an
+// append to the copy reallocates instead of writing into e's spare
+// capacity.
+func (e *Echoes) Clip() Echoes {
+	return Echoes{At: slices.Clip(e.At), Counts: slices.Clip(e.Counts), RTTMs: slices.Clip(e.RTTMs), Lost: slices.Clip(e.Lost)}
 }
 
 // TransferSample is one npd-style TCP transfer measurement.
@@ -59,9 +143,9 @@ type PathData struct {
 	Key PairKey
 	// Measurements counts probe invocations that produced data.
 	Measurements int
-	RTT          []RTTSample
-	Loss         []LossSample
-	Transfers    []TransferSample
+	// Echo holds the traceroute echo samples.
+	Echo      Echoes
+	Transfers []TransferSample
 	// ASPath is the forward AS-level path from the first successful
 	// traceroute (the paper finds paths are dominated by one route).
 	ASPath []topology.ASN
@@ -117,15 +201,19 @@ func New(name string, hosts []topology.HostID) *Dataset {
 // path returns (creating if needed) the data for a pair. A new pair's
 // sample slices get the given capacities, so a caller that knows how
 // much it will record never grows them.
-func (d *Dataset) path(k PairKey, rttCap, lossCap, transferCap int) *PathData {
+func (d *Dataset) path(k PairKey, echoCap, rttCap, lossCap, transferCap int) *PathData {
 	p, ok := d.Paths[k]
 	if !ok {
 		p = &PathData{Key: k}
+		if echoCap > 0 {
+			p.Echo.At = make([]netsim.Time, 0, echoCap)
+			p.Echo.Counts = make([]EchoCounts, 0, echoCap)
+		}
 		if rttCap > 0 {
-			p.RTT = make([]RTTSample, 0, rttCap)
+			p.Echo.RTTMs = make([]float64, 0, rttCap)
 		}
 		if lossCap > 0 {
-			p.Loss = make([]LossSample, 0, lossCap)
+			p.Echo.Lost = make([]bool, 0, lossCap)
 		}
 		if transferCap > 0 {
 			p.Transfers = make([]TransferSample, 0, transferCap)
@@ -155,8 +243,8 @@ func (d *Dataset) RecordEcho(k PairKey, at netsim.Time, rtts []float64, lost []b
 
 // RecordEchoSized is RecordEcho for a caller that knows how many
 // invocations of k it will record in all: when k is first recorded,
-// its RTT and loss slices are allocated for expect invocations of this
-// one's shape, so they never grow. expect 0 means unknown.
+// its echo slices are allocated for expect invocations of this one's
+// shape, so they never grow. expect 0 means unknown.
 func (d *Dataset) RecordEchoSized(k PairKey, at netsim.Time, rtts []float64, lost []bool, asPath []topology.ASN,
 	keepSamples, expect int) bool {
 	if len(lost) == 0 {
@@ -166,16 +254,10 @@ func (d *Dataset) RecordEchoSized(k PairKey, at netsim.Time, rtts []float64, los
 		keepSamples = len(lost)
 	}
 	d.rev++
-	p := d.path(k, expect*len(lost), expect*keepSamples, 0)
+	records := (len(lost) + MaxEchoRun - 1) / MaxEchoRun
+	p := d.path(k, expect*records, expect*len(lost), expect*keepSamples, 0)
 	p.Measurements++
-	for i := 0; i < len(lost); i++ {
-		if !lost[i] {
-			p.RTT = append(p.RTT, RTTSample{At: at, RTTMs: rtts[i]})
-		}
-		if i < keepSamples {
-			p.Loss = append(p.Loss, LossSample{At: at, Lost: lost[i]})
-		}
-	}
+	p.Echo.record(at, rtts, lost, keepSamples)
 	if p.ASPath == nil && len(asPath) > 0 {
 		p.ASPath = append([]topology.ASN(nil), asPath...)
 	}
@@ -192,7 +274,7 @@ func (d *Dataset) RecordTransfer(k PairKey, s TransferSample) {
 // transfer allocates room for all of them.
 func (d *Dataset) RecordTransferSized(k PairKey, s TransferSample, expect int) {
 	d.rev++
-	p := d.path(k, 0, 0, expect)
+	p := d.path(k, 0, 0, 0, expect)
 	p.Measurements++
 	p.Transfers = append(p.Transfers, s)
 }
@@ -247,12 +329,12 @@ func (d *Dataset) RemoveHosts(hosts map[topology.HostID]bool) {
 // ok=false if the path has no successful samples.
 func (d *Dataset) MeanRTT(k PairKey) (stats.Summary, bool) {
 	p := d.Paths[k]
-	if p == nil || len(p.RTT) == 0 {
+	if p == nil || len(p.Echo.RTTMs) == 0 {
 		return stats.Summary{}, false
 	}
 	var a stats.Accum
-	for _, s := range p.RTT {
-		a.Add(s.RTTMs)
+	for _, v := range p.Echo.RTTMs {
+		a.Add(v)
 	}
 	return a.Summary(), true
 }
@@ -263,18 +345,23 @@ func (d *Dataset) MeanRTT(k PairKey) (stats.Summary, bool) {
 // paper notes in Figure 8.
 func (d *Dataset) LossRate(k PairKey) (stats.Summary, bool) {
 	p := d.Paths[k]
-	if p == nil || len(p.Loss) == 0 {
+	if p == nil || len(p.Echo.Lost) == 0 {
 		return stats.Summary{}, false
 	}
 	var a stats.Accum
-	for _, s := range p.Loss {
-		if s.Lost {
+	addLoss(&a, p.Echo.Lost)
+	return a.Summary(), true
+}
+
+// addLoss adds each outcome to a as a Bernoulli observation.
+func addLoss(a *stats.Accum, lost []bool) {
+	for _, l := range lost {
+		if l {
 			a.Add(1)
 		} else {
 			a.Add(0)
 		}
 	}
-	return a.Summary(), true
 }
 
 // PropagationDelay estimates the fixed (propagation) component of a
@@ -282,14 +369,10 @@ func (d *Dataset) LossRate(k PairKey) (stats.Summary, bool) {
 // percentile "to protect against noise".
 func (d *Dataset) PropagationDelay(k PairKey, q float64) (float64, bool) {
 	p := d.Paths[k]
-	if p == nil || len(p.RTT) == 0 {
+	if p == nil || len(p.Echo.RTTMs) == 0 {
 		return 0, false
 	}
-	vals := make([]float64, len(p.RTT))
-	for i, s := range p.RTT {
-		vals[i] = s.RTTMs
-	}
-	v, err := stats.Quantile(vals, q)
+	v, err := stats.Quantile(p.Echo.RTTMs, q)
 	if err != nil {
 		return 0, false
 	}
@@ -300,28 +383,30 @@ func (d *Dataset) PropagationDelay(k PairKey, q float64) (float64, bool) {
 // median-by-convolution analysis).
 func (d *Dataset) RTTDist(k PairKey) (stats.Dist, bool) {
 	p := d.Paths[k]
-	if p == nil || len(p.RTT) == 0 {
+	if p == nil || len(p.Echo.RTTMs) == 0 {
 		return stats.Dist{}, false
 	}
-	vals := make([]float64, len(p.RTT))
-	for i, s := range p.RTT {
-		vals[i] = s.RTTMs
-	}
-	return stats.NewDist(vals), true
+	return stats.NewDist(p.Echo.RTTMs), true
 }
 
 // MeanRTTBucket returns the mean RTT summary restricted to samples in a
-// time-of-day bucket.
+// time-of-day bucket. A record's samples share its time, so each
+// record is classified once.
 func (d *Dataset) MeanRTTBucket(k PairKey, b netsim.Bucket) (stats.Summary, bool) {
 	p := d.Paths[k]
 	if p == nil {
 		return stats.Summary{}, false
 	}
 	var a stats.Accum
-	for _, s := range p.RTT {
-		if netsim.BucketOf(s.At) == b {
-			a.Add(s.RTTMs)
+	off := 0
+	for i, at := range p.Echo.At {
+		end := off + int(p.Echo.Counts[i].RTT)
+		if end > off && netsim.BucketOf(at) == b {
+			for _, v := range p.Echo.RTTMs[off:end] {
+				a.Add(v)
+			}
 		}
+		off = end
 	}
 	if a.N() == 0 {
 		return stats.Summary{}, false
@@ -336,14 +421,13 @@ func (d *Dataset) LossRateBucket(k PairKey, b netsim.Bucket) (stats.Summary, boo
 		return stats.Summary{}, false
 	}
 	var a stats.Accum
-	for _, s := range p.Loss {
-		if netsim.BucketOf(s.At) == b {
-			if s.Lost {
-				a.Add(1)
-			} else {
-				a.Add(0)
-			}
+	off := 0
+	for i, at := range p.Echo.At {
+		end := off + int(p.Echo.Counts[i].Loss)
+		if end > off && netsim.BucketOf(at) == b {
+			addLoss(&a, p.Echo.Lost[off:end])
 		}
+		off = end
 	}
 	if a.N() == 0 {
 		return stats.Summary{}, false

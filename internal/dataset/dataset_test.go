@@ -2,9 +2,12 @@ package dataset
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"pathsel/internal/netsim"
+	"pathsel/internal/stats"
 	"pathsel/internal/topology"
 )
 
@@ -280,5 +283,101 @@ func TestSubset(t *testing.T) {
 	empty := d.Subset("none", []topology.HostID{9})
 	if len(empty.Hosts) != 0 || len(empty.Paths) != 0 {
 		t.Errorf("unexpected content %v %v", empty.Hosts, empty.Paths)
+	}
+}
+
+// TestEchoRecords: each invocation is one record holding its time once;
+// the sample iterators yield every sample with its invocation's time in
+// recorded order; an invocation of more than MaxEchoRun attempts takes
+// several records, and one that keeps no sample takes none.
+func TestEchoRecords(t *testing.T) {
+	d := New("x", []topology.HostID{0, 1})
+	k := key(0, 1)
+	d.RecordEcho(k, 10, []float64{1, 0, 3}, []bool{false, true, false}, nil, 3)
+	d.RecordEcho(k, 20, []float64{0, 5, 6}, []bool{true, false, false}, nil, 1)
+	d.RecordEcho(k, 30, []float64{0, 0}, []bool{true, true}, nil, 0)
+	e := d.Paths[k].Echo
+	if want := []netsim.Time{10, 20}; !slices.Equal(e.At, want) {
+		t.Errorf("record times %v, want %v", e.At, want)
+	}
+	if want := []EchoCounts{{RTT: 2, Loss: 3}, {RTT: 2, Loss: 1}}; !slices.Equal(e.Counts, want) {
+		t.Errorf("record counts %v, want %v", e.Counts, want)
+	}
+	type rs struct {
+		at netsim.Time
+		v  float64
+	}
+	var rtts []rs
+	for at, v := range e.RTTSamples() {
+		rtts = append(rtts, rs{at, v})
+	}
+	if want := []rs{{10, 1}, {10, 3}, {20, 5}, {20, 6}}; !slices.Equal(rtts, want) {
+		t.Errorf("RTT samples %v, want %v", rtts, want)
+	}
+	type ls struct {
+		at   netsim.Time
+		lost bool
+	}
+	var losses []ls
+	for at, lost := range e.LossSamples() {
+		losses = append(losses, ls{at, lost})
+	}
+	if want := []ls{{10, false}, {10, true}, {10, false}, {20, true}}; !slices.Equal(losses, want) {
+		t.Errorf("loss samples %v, want %v", losses, want)
+	}
+	if p := d.Paths[k]; p.Measurements != 3 {
+		t.Errorf("measurements %d, want 3", p.Measurements)
+	}
+
+	long := New("long", []topology.HostID{0, 1})
+	vals, lost := make([]float64, 2*MaxEchoRun+1), make([]bool, 2*MaxEchoRun+1)
+	long.RecordEchoSized(k, 5, vals, lost, nil, len(lost), 1)
+	e = long.Paths[k].Echo
+	if want := []EchoCounts{{RTT: MaxEchoRun, Loss: MaxEchoRun}, {RTT: MaxEchoRun, Loss: MaxEchoRun}, {RTT: 1, Loss: 1}}; !slices.Equal(e.Counts, want) || !slices.Equal(e.At, []netsim.Time{5, 5, 5}) {
+		t.Errorf("long invocation records %v at %v", e.Counts, e.At)
+	}
+	if cap(e.At) != len(e.At) {
+		t.Errorf("long invocation sized for one: %d records in a slice of cap %d", len(e.At), cap(e.At))
+	}
+}
+
+// TestBucketedAggregatesMatchPerSample: classifying each record once
+// sums exactly the samples, in exactly the order, that classifying each
+// sample does, so the bucketed summaries are bit-identical.
+func TestBucketedAggregatesMatchPerSample(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	d := New("x", []topology.HostID{0, 1})
+	k := key(0, 1)
+	for i := 0; i < 500; i++ {
+		at := netsim.Time(rng.Float64() * 14 * 86400)
+		rtts, lost := make([]float64, 3), make([]bool, 3)
+		for j := range rtts {
+			rtts[j], lost[j] = 20+80*rng.Float64(), rng.Float64() < 0.2
+		}
+		d.RecordEcho(k, at, rtts, lost, nil, 1+i%3)
+	}
+	e := d.Paths[k].Echo
+	for _, b := range netsim.Buckets() {
+		var wantRTT, wantLoss stats.Accum
+		for at, v := range e.RTTSamples() {
+			if netsim.BucketOf(at) == b {
+				wantRTT.Add(v)
+			}
+		}
+		for at, l := range e.LossSamples() {
+			if netsim.BucketOf(at) == b {
+				if l {
+					wantLoss.Add(1)
+				} else {
+					wantLoss.Add(0)
+				}
+			}
+		}
+		if got, _ := d.MeanRTTBucket(k, b); got != wantRTT.Summary() {
+			t.Errorf("bucket %v: RTT %+v, per-sample %+v", b, got, wantRTT.Summary())
+		}
+		if got, _ := d.LossRateBucket(k, b); got != wantLoss.Summary() {
+			t.Errorf("bucket %v: loss %+v, per-sample %+v", b, got, wantLoss.Summary())
+		}
 	}
 }

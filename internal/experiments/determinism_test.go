@@ -3,7 +3,10 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"iter"
 	"testing"
+
+	"pathsel/internal/netsim"
 )
 
 // serializeSuite renders every dataset of a suite into one canonical
@@ -22,7 +25,9 @@ func serializeSuite(s *Suite) []byte {
 		for _, k := range ds.PairKeys() {
 			p := ds.Paths[k]
 			fmt.Fprintf(&buf, "  pair %v n=%d as=%v\n", k, p.Measurements, p.ASPath)
-			fmt.Fprintf(&buf, "    rtt=%v\n    loss=%v\n    xfer=%v\n", p.RTT, p.Loss, p.Transfers)
+			fmt.Fprintf(&buf, "    records=%v %v\n", p.Echo.At, p.Echo.Counts)
+			fmt.Fprintf(&buf, "    rtt=%v\n    loss=%v\n    xfer=%v\n",
+				sampleList(p.Echo.RTTSamples()), sampleList(p.Echo.LossSamples()), p.Transfers)
 		}
 		for _, e := range ds.Episodes {
 			// fmt prints map contents in sorted key order, so the
@@ -31,6 +36,16 @@ func serializeSuite(s *Suite) []byte {
 		}
 	}
 	return buf.Bytes()
+}
+
+// sampleList renders a sample sequence as its list of (time, value)
+// pairs.
+func sampleList[V any](seq iter.Seq2[netsim.Time, V]) []string {
+	var out []string
+	for at, v := range seq {
+		out = append(out, fmt.Sprintf("{%v %v}", at, v))
+	}
+	return out
 }
 
 // TestBuildDeterministic is the regression test behind the repolint

@@ -477,9 +477,9 @@ func mirrorMissing(ds *dataset.Dataset) {
 			continue
 		}
 		src := ds.Paths[k]
-		cp := &dataset.PathData{Key: rev, Measurements: src.Measurements}
-		cp.RTT = append(cp.RTT, src.RTT...)
-		cp.Loss = append(cp.Loss, src.Loss...)
+		// The mirror shares the measured direction's echo records,
+		// capacity-capped so that neither path's appends reach the other.
+		cp := &dataset.PathData{Key: rev, Measurements: src.Measurements, Echo: src.Echo.Clip()}
 		// The AS path of the mirror is unknown (the reverse direction
 		// was never traced); leave it nil.
 		ds.Paths[rev] = cp

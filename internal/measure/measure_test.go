@@ -82,7 +82,7 @@ func TestExponentialPairsCampaign(t *testing.T) {
 		if p.Measurements == 0 {
 			t.Fatalf("path %v recorded with zero measurements", k)
 		}
-		if len(p.Loss) == 0 {
+		if len(p.Echo.Lost) == 0 {
 			t.Fatalf("path %v has no loss observations", k)
 		}
 	}
@@ -116,7 +116,7 @@ func TestPerServerUniformCampaign(t *testing.T) {
 	foundMirrored := false
 	for _, k := range ds.PairKeys() {
 		if rl[k.Dst] {
-			if p := ds.Paths[k]; p.ASPath == nil && len(p.RTT) > 0 {
+			if p := ds.Paths[k]; p.ASPath == nil && len(p.Echo.RTTMs) > 0 {
 				foundMirrored = true
 			}
 		}

@@ -90,7 +90,9 @@ func TestCountingPassMatchesProbes(t *testing.T) {
 }
 
 // TestSampleStorageNeverGrows: with every contact succeeding, each
-// pair's storage is allocated once at its final size.
+// pair's storage is allocated once at its final size: one echo record
+// per traceroute, every kept loss outcome, and room for every attempt's
+// round trip.
 func TestSampleStorageNeverGrows(t *testing.T) {
 	fx := newFixture(t)
 	specs := schedulerSpecs(fx)
@@ -112,11 +114,19 @@ func TestSampleStorageNeverGrows(t *testing.T) {
 			}
 			for _, k := range ds.PairKeys() {
 				p := ds.Paths[k]
-				if cap(p.Loss) != len(p.Loss) {
-					t.Errorf("%v: Loss len %d cap %d, want cap == len", k, len(p.Loss), cap(p.Loss))
+				e := p.Echo
+				if cap(e.At) != len(e.At) || cap(e.Counts) != len(e.Counts) {
+					t.Errorf("%v: records len %d/%d cap %d/%d, want cap == len", k,
+						len(e.At), len(e.Counts), cap(e.At), cap(e.Counts))
 				}
-				if max := p.Measurements * probe.SamplesPerTraceroute; cap(p.RTT) > max {
-					t.Errorf("%v: RTT cap %d exceeds %d measurements × %d samples", k, cap(p.RTT),
+				if spec.Method != MethodTransfer && len(e.At) != p.Measurements {
+					t.Errorf("%v: %d echo records for %d traceroutes", k, len(e.At), p.Measurements)
+				}
+				if cap(e.Lost) != len(e.Lost) {
+					t.Errorf("%v: Lost len %d cap %d, want cap == len", k, len(e.Lost), cap(e.Lost))
+				}
+				if max := p.Measurements * probe.SamplesPerTraceroute; cap(e.RTTMs) > max {
+					t.Errorf("%v: RTT cap %d exceeds %d measurements × %d samples", k, cap(e.RTTMs),
 						p.Measurements, probe.SamplesPerTraceroute)
 				}
 				if cap(p.Transfers) != len(p.Transfers) {

@@ -13,8 +13,8 @@ import (
 func gatherTimes(ds *dataset.Dataset) []float64 {
 	var ts []float64
 	for _, k := range ds.PairKeys() {
-		for _, s := range ds.Paths[k].Loss {
-			ts = append(ts, float64(s.At))
+		for at := range ds.Paths[k].Echo.LossSamples() {
+			ts = append(ts, float64(at))
 		}
 	}
 	sort.Float64s(ts)
@@ -70,8 +70,8 @@ func TestUniformSchedulerStatistics(t *testing.T) {
 	// Reconstruct per-source schedules.
 	perSrc := map[int][]float64{}
 	for _, k := range ds.PairKeys() {
-		for _, s := range ds.Paths[k].Loss {
-			perSrc[int(k.Src)] = append(perSrc[int(k.Src)], float64(s.At))
+		for at := range ds.Paths[k].Echo.LossSamples() {
+			perSrc[int(k.Src)] = append(perSrc[int(k.Src)], float64(at))
 		}
 	}
 	checked := 0

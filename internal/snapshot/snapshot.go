@@ -140,17 +140,19 @@ func encodeDataset(e *enc, d *dataset.Dataset) {
 		e.i64(int64(k.Src))
 		e.i64(int64(k.Dst))
 		e.i64(int64(p.Measurements))
-		e.u32(uint32(len(p.RTT)))
-		e.u32(uint32(len(p.Loss)))
+		e.u32(uint32(len(p.Echo.RTTMs)))
+		e.u32(uint32(len(p.Echo.Lost)))
 		e.u32(uint32(len(p.Transfers)))
 		e.u32(uint32(len(p.ASPath)))
-		for _, s := range p.RTT {
-			e.f64(float64(s.At))
-			e.f64(s.RTTMs)
+		// One file record per sample: each invocation's time is
+		// repeated for each of its samples.
+		for at, rtt := range p.Echo.RTTSamples() {
+			e.f64(float64(at))
+			e.f64(rtt)
 		}
-		for _, s := range p.Loss {
-			e.f64(float64(s.At))
-			if s.Lost {
+		for at, lost := range p.Echo.LossSamples() {
+			e.f64(float64(at))
+			if lost {
 				e.u8(1)
 			} else {
 				e.u8(0)
@@ -345,6 +347,49 @@ func (c *cur) pad8()        { c.off = pad8(c.off) }
 // f64 reads a little-endian IEEE-754 bit pattern from the front of p.
 func f64(p []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(p)) }
 
+// groupEchoes decodes one path's encoded RTT records (16 bytes: time,
+// RTT) into rtt and its loss records (9 bytes: time, outcome) into
+// lost, grouping them into the invocation records of dataset.Echoes,
+// which it writes to at and counts. It returns how many records it
+// wrote, or ok=false if they do not fit. A record takes the next run
+// of loss records that share a time, with the run of RTT records at
+// that time if the RTT records continue with it; a loss run the RTT
+// records do not continue with becomes a record with no RTT samples,
+// and RTT records left once the loss records are used up become
+// records with no loss samples. Times compare as bit patterns, so NaN
+// and -0 group exactly, and a run stops at dataset.MaxEchoRun samples.
+// Any pair of sequences therefore groups, and expanding the records
+// gives back both sequences unchanged.
+func groupEchoes(rttRecs, lossRecs []byte, rtt []float64, lost []bool,
+	at []netsim.Time, counts []dataset.EchoCounts) (n int, ok bool) {
+	le := binary.LittleEndian
+	i, j := 0, 0 // RTT and loss samples grouped so far
+	for ; len(rttRecs) >= 16 || len(lossRecs) >= 9; n++ {
+		if n == len(at) {
+			return n, false
+		}
+		var t uint64
+		if len(lossRecs) >= 9 {
+			t = le.Uint64(lossRecs)
+		} else {
+			t = le.Uint64(rttRecs)
+		}
+		var c dataset.EchoCounts
+		for ; len(lossRecs) >= 9 && c.Loss < dataset.MaxEchoRun && le.Uint64(lossRecs) == t; j++ {
+			lost[j] = lossRecs[8] != 0
+			lossRecs = lossRecs[9:]
+			c.Loss++
+		}
+		for ; len(rttRecs) >= 16 && c.RTT < dataset.MaxEchoRun && le.Uint64(rttRecs) == t; i++ {
+			rtt[i] = f64(rttRecs[8:])
+			rttRecs = rttRecs[16:]
+			c.RTT++
+		}
+		at[n], counts[n] = netsim.Time(math.Float64frombits(t)), c
+	}
+	return n, true
+}
+
 // decodeDataset parses one dataset section in two passes. The first
 // walks every record header, checks each count against the bytes that
 // remain and sums the counts, allocating nothing. The second allocates
@@ -352,6 +397,13 @@ func f64(p []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uin
 // pass validated; each path gets a capacity-capped window of the slabs,
 // so an append to one path's samples can never overwrite the next
 // path's.
+//
+// The number of invocation records is known only once the echo samples
+// are grouped, so the first pass sizes their slabs from each path's
+// measurement count: a campaign records one invocation per measurement
+// that is not a transfer, and decoding groups those back into one
+// record each. A path whose records outgrow what is left of the slabs
+// (a file written some other way) gets slabs of its own.
 func decodeDataset(d *dec, name string) *dataset.Dataset {
 	nHosts := d.sliceCount(d.u32(), 8)
 	nPaths := d.sliceCount(d.u32(), 40)
@@ -359,9 +411,10 @@ func decodeDataset(d *dec, name string) *dataset.Dataset {
 	d.u32() // reserved
 	start := d.off
 	d.take(8 * nHosts)
-	var nRTT, nLoss, nTransfers, nASPath int
+	var nEcho, nRTT, nLoss, nTransfers, nASPath int
 	for i := 0; i < nPaths && d.err == nil; i++ {
-		d.take(24) // src, dst, measurements
+		d.take(16) // src, dst
+		m := int64(d.u64())
 		r := d.sliceCount(d.u32(), 16)
 		l := d.sliceCount(d.u32(), 9)
 		t := d.sliceCount(d.u32(), 32)
@@ -369,6 +422,7 @@ func decodeDataset(d *dec, name string) *dataset.Dataset {
 		d.take(16*r + 9*l)
 		d.pad8()
 		d.take(32*t + 8*a)
+		nEcho += int(min(max(m-int64(t), 0), int64(r+l)))
 		nRTT, nLoss, nTransfers, nASPath = nRTT+r, nLoss+l, nTransfers+t, nASPath+a
 	}
 	for i := 0; i < nEpisodes && d.err == nil; i++ {
@@ -386,8 +440,10 @@ func decodeDataset(d *dec, name string) *dataset.Dataset {
 	for i := range hosts {
 		hosts[i] = topology.HostID(c.i64())
 	}
-	rtt := make([]dataset.RTTSample, nRTT)
-	loss := make([]dataset.LossSample, nLoss)
+	times := make([]netsim.Time, nEcho)
+	counts := make([]dataset.EchoCounts, nEcho)
+	rtt := make([]float64, nRTT)
+	lost := make([]bool, nLoss)
 	transfers := make([]dataset.TransferSample, nTransfers)
 	asns := make([]topology.ASN, nASPath)
 	pds := make([]dataset.PathData, nPaths)
@@ -397,21 +453,24 @@ func decodeDataset(d *dec, name string) *dataset.Dataset {
 		p.Key = dataset.PairKey{Src: topology.HostID(c.i64()), Dst: topology.HostID(c.i64())}
 		p.Measurements = int(c.i64())
 		r, l, t, a := int(c.u32()), int(c.u32()), int(c.u32()), int(c.u32())
+		rttRecs, lossRecs := c.take(16*r), c.take(9*l)
 		if r > 0 {
-			p.RTT, rtt = rtt[:r:r], rtt[r:]
-			rec := c.take(16 * r)
-			for j := range p.RTT {
-				e := rec[16*j : 16*j+16]
-				p.RTT[j] = dataset.RTTSample{At: netsim.Time(f64(e)), RTTMs: f64(e[8:])}
-			}
+			p.Echo.RTTMs, rtt = rtt[:r:r], rtt[r:]
 		}
 		if l > 0 {
-			p.Loss, loss = loss[:l:l], loss[l:]
-			rec := c.take(9 * l)
-			for j := range p.Loss {
-				e := rec[9*j : 9*j+9]
-				p.Loss[j] = dataset.LossSample{At: netsim.Time(f64(e)), Lost: e[8] != 0}
-			}
+			p.Echo.Lost, lost = lost[:l:l], lost[l:]
+		}
+		at, cn := times, counts
+		n, ok := groupEchoes(rttRecs, lossRecs, p.Echo.RTTMs, p.Echo.Lost, at, cn)
+		if ok {
+			times, counts = times[n:], counts[n:]
+		} else {
+			// A path has at most one record per sample.
+			at, cn = make([]netsim.Time, r+l), make([]dataset.EchoCounts, r+l)
+			n, _ = groupEchoes(rttRecs, lossRecs, p.Echo.RTTMs, p.Echo.Lost, at, cn)
+		}
+		if n > 0 {
+			p.Echo.At, p.Echo.Counts = at[:n:n], cn[:n:n]
 		}
 		c.pad8()
 		if t > 0 {

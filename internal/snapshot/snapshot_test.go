@@ -16,6 +16,7 @@ import (
 
 	"pathsel/internal/dataset"
 	"pathsel/internal/experiments"
+	"pathsel/internal/netsim"
 	"pathsel/internal/topology"
 )
 
@@ -226,9 +227,8 @@ func TestWriteReadDataset(t *testing.T) {
 		t.Errorf("read name %q hosts %v", got.Name, got.Hosts)
 	}
 	p, want := got.Paths[k], d.Paths[k]
-	if p == nil || p.Measurements != want.Measurements || !slices.Equal(p.RTT, want.RTT) ||
-		!slices.Equal(p.Loss, want.Loss) || !slices.Equal(p.Transfers, want.Transfers) ||
-		!slices.Equal(p.ASPath, want.ASPath) {
+	if p == nil || p.Measurements != want.Measurements || !sameEchoes(p.Echo, want.Echo) ||
+		!slices.Equal(p.Transfers, want.Transfers) || !slices.Equal(p.ASPath, want.ASPath) {
 		t.Errorf("read path %+v, want %+v", p, want)
 	}
 	if len(got.Episodes) != 1 || got.Episodes[0].At != 9 || got.Episodes[0].RTTMs[k] != 15 {
@@ -414,6 +414,16 @@ func TestChecksumPrecedence(t *testing.T) {
 	}
 }
 
+// sameEchoes reports whether two echo stores hold the same records,
+// comparing times as bit patterns.
+func sameEchoes(a, b dataset.Echoes) bool {
+	return slices.EqualFunc(a.At, b.At, func(x, y netsim.Time) bool {
+		return math.Float64bits(float64(x)) == math.Float64bits(float64(y))
+	}) && slices.Equal(a.Counts, b.Counts) && slices.EqualFunc(a.RTTMs, b.RTTMs, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	}) && slices.Equal(a.Lost, b.Lost)
+}
+
 // TestSlabIsolation: restored paths share one slab per sample type,
 // but each path's window is capacity-capped, so appending to one
 // path's samples reallocates instead of overwriting its neighbour's.
@@ -421,8 +431,9 @@ func TestSlabIsolation(t *testing.T) {
 	primary := primaryOf(t, buildQuick(t))
 	for _, d := range primary {
 		for _, p := range d.Paths {
-			if cap(p.RTT) != len(p.RTT) || cap(p.Loss) != len(p.Loss) ||
-				cap(p.Transfers) != len(p.Transfers) || cap(p.ASPath) != len(p.ASPath) {
+			e := p.Echo
+			if cap(e.At) != len(e.At) || cap(e.Counts) != len(e.Counts) || cap(e.RTTMs) != len(e.RTTMs) ||
+				cap(e.Lost) != len(e.Lost) || cap(p.Transfers) != len(p.Transfers) || cap(p.ASPath) != len(p.ASPath) {
 				t.Fatalf("%s %v: a sample slice has spare capacity", d.Name, p.Key)
 			}
 		}
@@ -431,17 +442,23 @@ func TestSlabIsolation(t *testing.T) {
 	keys := uw3.PairKeys() // encoding order, which is slab order
 	for i := 0; i+1 < len(keys); i++ {
 		p, next := uw3.Paths[keys[i]], uw3.Paths[keys[i+1]]
-		if len(p.RTT) == 0 || len(next.RTT) == 0 {
+		if len(p.Echo.RTTMs) == 0 || len(next.Echo.RTTMs) == 0 || len(p.Echo.Lost) == 0 || len(next.Echo.Lost) == 0 {
 			continue
 		}
-		want := append([]dataset.RTTSample(nil), next.RTT...)
-		p.RTT = append(p.RTT, dataset.RTTSample{At: -1, RTTMs: -1})
-		if !slices.Equal(next.RTT, want) {
-			t.Fatalf("appending to %v's RTT changed %v's samples", keys[i], keys[i+1])
+		e := next.Echo
+		want := dataset.Echoes{
+			At: slices.Clone(e.At), Counts: slices.Clone(e.Counts), RTTMs: slices.Clone(e.RTTMs), Lost: slices.Clone(e.Lost),
+		}
+		p.Echo.At = append(p.Echo.At, -1)
+		p.Echo.Counts = append(p.Echo.Counts, dataset.EchoCounts{RTT: 1, Loss: 1})
+		p.Echo.RTTMs = append(p.Echo.RTTMs, -1)
+		p.Echo.Lost = append(p.Echo.Lost, !next.Echo.Lost[0])
+		if !sameEchoes(next.Echo, want) {
+			t.Fatalf("appending to %v's echo records changed %v's", keys[i], keys[i+1])
 		}
 		return
 	}
-	t.Fatal("no two adjacent UW3 paths with RTT samples")
+	t.Fatal("no two adjacent UW3 paths with RTT and loss samples")
 }
 
 // writeTwo persists the two quick suites' snapshots in a fresh
@@ -548,15 +565,18 @@ func FuzzDecode(f *testing.F) {
 
 // smallSuite cuts s down to a fuzzing seed: three paths per dataset,
 // four samples per series and two episodes, a snapshot of a few KB
-// that still exercises every record type.
+// that still exercises every record type. Cutting both series at four
+// samples splits invocations, so the seed's RTT and loss runs do not
+// all line up.
 func smallSuite(s *experiments.Suite) *experiments.Suite {
 	cut := func(d *dataset.Dataset) *dataset.Dataset {
 		out := dataset.New(d.Name, d.Hosts)
 		keys := d.PairKeys()
 		for _, k := range keys[:min(3, len(keys))] {
 			p := *d.Paths[k]
-			p.RTT = p.RTT[:min(4, len(p.RTT))]
-			p.Loss = p.Loss[:min(4, len(p.Loss))]
+			rtt := firstSamples(p.Echo.RTTSamples(), 4)
+			loss := firstSamples(p.Echo.LossSamples(), 4)
+			p.Echo = perSample(rtt, loss)
 			p.Transfers = p.Transfers[:min(4, len(p.Transfers))]
 			out.Paths[k] = &p
 		}
@@ -604,8 +624,22 @@ func FuzzRestore(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := Encode(got); err != nil {
+		again, err := Encode(got)
+		if err != nil {
 			t.Fatalf("restored suite does not re-encode: %v", err)
+		}
+		// The re-encoding is canonical: it restores, and encodes to
+		// itself.
+		re, err := Restore(context.Background(), again, 1)
+		if err != nil {
+			t.Fatalf("re-encoded suite does not restore: %v", err)
+		}
+		third, err := Encode(re)
+		if err != nil {
+			t.Fatalf("re-restored suite does not encode: %v", err)
+		}
+		if !bytes.Equal(third, again) {
+			t.Fatalf("re-encoding is not stable: %d bytes, then %d", len(again), len(third))
 		}
 	})
 }

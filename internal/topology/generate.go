@@ -294,26 +294,45 @@ func pickSecondProvider(rng *rand.Rand, tier1s, earlierTransits []*AS, first ASN
 }
 
 // nearestOf picks uniformly among the k ASes nearest to p, modeling a
-// site choosing one of its local providers.
+// site choosing one of its local providers. Candidates rank by
+// (distance, ASN); with k of at most 8 an insertion into the top k
+// costs less than sorting the whole pool, and yields the same k
+// candidates in the same order.
 func nearestOf(rng *rand.Rand, pool []*AS, p geo.Point, k int) *AS {
-	type cand struct {
-		as *AS
-		d  float64
+	k = min(k, len(pool))
+	var buf [8]nearCand
+	top := buf[:0]
+	if k > len(buf) {
+		top = make([]nearCand, 0, k)
 	}
-	cands := make([]cand, len(pool))
-	for i, as := range pool {
-		cands[i] = cand{as, geo.DistanceKm(as.Home, p)}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
+	for _, as := range pool {
+		c := nearCand{as, geo.DistanceKm(as.Home, p)}
+		if len(top) == k {
+			if !c.before(top[k-1]) {
+				continue
+			}
+			top = top[:k-1]
 		}
-		return cands[i].as.ASN < cands[j].as.ASN
-	})
-	if k > len(cands) {
-		k = len(cands)
+		top = append(top, c)
+		for i := len(top) - 1; i > 0 && c.before(top[i-1]); i-- {
+			top[i], top[i-1] = top[i-1], c
+		}
 	}
-	return cands[rng.Intn(k)].as
+	return top[rng.Intn(k)].as
+}
+
+// nearCand is a provider candidate at distance d from a site.
+type nearCand struct {
+	as *AS
+	d  float64
+}
+
+// before orders candidates by distance, then ASN.
+func (c nearCand) before(o nearCand) bool {
+	if c.d != o.d {
+		return c.d < o.d
+	}
+	return c.as.ASN < o.as.ASN
 }
 
 // nearestRouter returns the router of as closest to p.

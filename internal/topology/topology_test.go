@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
 	"pathsel/internal/geo"
@@ -376,5 +378,51 @@ func TestWorldRegionHostsSpread(t *testing.T) {
 	}
 	if inNA == 0 {
 		t.Error("world-region topology placed no host in North America")
+	}
+}
+
+// nearestBySort is nearestOf as a full sort of the pool by (distance,
+// ASN): the reference the top-k selection must match.
+func nearestBySort(rng *rand.Rand, pool []*AS, p geo.Point, k int) *AS {
+	type cand struct {
+		as *AS
+		d  float64
+	}
+	cands := make([]cand, len(pool))
+	for i, as := range pool {
+		cands[i] = cand{as, geo.DistanceKm(as.Home, p)}
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].d != cands[j].d {
+			return cands[i].d < cands[j].d
+		}
+		return cands[i].as.ASN < cands[j].as.ASN
+	})
+	return cands[rng.Intn(min(k, len(cands)))].as
+}
+
+// TestNearestOfMatchesSort: the top-k selection draws the same AS as
+// sorting the whole pool, for the provider counts the generator uses
+// and beyond, including pools with tied distances.
+func TestNearestOfMatchesSort(t *testing.T) {
+	gen := rand.New(rand.NewSource(5))
+	sites := []geo.Point{{LatDeg: 40, LonDeg: -100}, {LatDeg: 51, LonDeg: 0}, {LatDeg: -33, LonDeg: 151}}
+	for trial := 0; trial < 200; trial++ {
+		pool := make([]*AS, 1+gen.Intn(40))
+		for i := range pool {
+			// Few distinct homes, so many candidates tie on distance.
+			home := sites[gen.Intn(len(sites))]
+			home.LonDeg += float64(gen.Intn(4))
+			pool[i] = &AS{ASN: ASN(1000 - 7*i), Home: home}
+		}
+		p := geo.Point{LatDeg: float64(gen.Intn(120) - 60), LonDeg: float64(gen.Intn(360) - 180)}
+		for _, k := range []int{1, 4, 8, 12} {
+			seed := gen.Int63()
+			got := nearestOf(rand.New(rand.NewSource(seed)), pool, p, k)
+			want := nearestBySort(rand.New(rand.NewSource(seed)), pool, p, k)
+			if got != want {
+				t.Fatalf("trial %d k=%d: picked AS%d, sorting picks AS%d", trial, k, got.ASN, want.ASN)
+			}
+		}
 	}
 }
