@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"pathsel/internal/dataset"
@@ -172,120 +171,58 @@ func (wa *workerArenas) release() {
 }
 
 // bestAlternatesWith is the engine under single-best Query: pairs are
-// prefiltered sequentially, searched across the given number of workers
-// with results written into per-pair slots, then compacted in pair-key
-// order — so the output is byte-identical for any worker count.
+// prefiltered sequentially, searched one source run per task across the
+// given number of workers with results written into per-pair slots,
+// then compacted in pair-key order — so the output is byte-identical for
+// any worker count.
 func (a *Analyzer) bestAlternatesWith(g *graph, metric Metric, maxVia int, excluded []bool, workers int) ([]PairResult, error) {
 	g.freeze() // staged callers pack here, before the concurrent fan-out
 	keys := a.ds.PairKeys()
-	type pairJob struct {
-		key    dataset.PairKey
-		si, di int32
-	}
-	jobs := make([]pairJob, 0, len(keys))
+	// Jobs are in PairKeys order, so a source's pairs are consecutive:
+	// runs[r] is the first job of the r-th source run.
+	jobs := make([]dataset.PairKey, 0, len(keys))
+	dsts := make([]int32, 0, len(keys))
+	runs := make([]int, 0, len(g.hosts)+1)
 	for _, k := range keys {
 		si, ok1 := g.index[k.Src]
 		di, ok2 := g.index[k.Dst]
-		if !ok1 || !ok2 {
+		if !ok1 || !ok2 || excluded != nil && (excluded[si] || excluded[di]) {
 			continue
 		}
-		if excluded != nil && (excluded[si] || excluded[di]) {
-			continue
+		if len(jobs) == 0 || jobs[len(jobs)-1].Src != k.Src {
+			runs = append(runs, len(jobs))
 		}
-		jobs = append(jobs, pairJob{key: k, si: int32(si), di: int32(di)})
+		jobs = append(jobs, k)
+		dsts = append(dsts, int32(di))
 	}
+	runs = append(runs, len(jobs))
 	results := make([]PairResult, len(jobs))
 	valid := make([]bool, len(jobs))
-	fill := func(i int, direct edge, path []int) error {
-		j := jobs[i]
-		altValue, altSum, err := g.composePath(metric, path)
-		if err != nil {
-			return err
-		}
-		res := PairResult{
-			Key:          j.key,
-			Default:      direct.summary,
-			Alternate:    altSum,
-			DefaultValue: direct.value,
-			AltValue:     altValue,
-		}
-		for _, v := range path[1 : len(path)-1] {
-			res.Via = append(res.Via, g.hosts[v])
-		}
-		results[i], valid[i] = res, true
-		return nil
-	}
-	var err error
-	if maxVia == 0 {
-		// Unlimited searches share one shortest-path tree per source:
-		// jobs are in PairKeys order, so equal sources are consecutive.
-		type span struct{ start, end int }
-		var groups []span
-		for start := 0; start < len(jobs); {
-			end := start + 1
-			for end < len(jobs) && jobs[end].si == jobs[start].si {
-				end++
+	wa := newWorkerArenas(g, workers)
+	defer wa.release()
+	err := fanout.For(a.context(), workers, len(runs)-1, func(w, r int) error {
+		start, end := runs[r], runs[r+1]
+		src := g.index[jobs[start].Src]
+		return g.alternatesFrom(src, dsts[start:end], maxVia, excluded, wa, w, func(j int, direct edge, path []int) error {
+			altValue, altSum, err := g.composePath(metric, path)
+			if err != nil {
+				return err
 			}
-			groups = append(groups, span{start, end})
-			start = end
-		}
-		wa := newWorkerArenas(g, workers)
-		defer wa.release()
-		err = fanout.For(a.context(), workers, len(groups), func(w, gi int) error {
-			gr := groups[gi]
-			src := int(jobs[gr.start].si)
-			s := wa.tree(w)
-			g.sourceTree(src, excluded, s)
-			for i := gr.start; i < gr.end; i++ {
-				di := int(jobs[i].di)
-				direct, found := g.directEdge(src, di)
-				if !found {
-					continue
-				}
-				var path []int
-				if p := s.prev[di]; p != -1 && int(p) != src {
-					path, found = pathFromPrev(s.prev, src, di)
-				} else if int(p) == src && !s.parent[di] {
-					// The direct edge won but dst is a tree leaf: the
-					// per-pair search can be replayed from the tree.
-					path, found = g.replayLastHop(src, di, s)
-				} else {
-					// The direct edge won and dst is a tree interior
-					// vertex (or dst is unreachable); search with the
-					// direct edge excluded, in the worker's second
-					// arena (the tree in s stays live for later pairs).
-					path, found = g.shortestAlternateInto(wa.pair(w), src, di, 0, excluded)
-				}
-				if !found {
-					continue
-				}
-				if err := fill(i, direct, path); err != nil {
-					return err
-				}
+			res := PairResult{
+				Key:          jobs[start+j],
+				Default:      direct.summary,
+				Alternate:    altSum,
+				DefaultValue: direct.value,
+				AltValue:     altValue,
+				Via:          make([]topology.HostID, len(path)-2),
 			}
+			for i, v := range path[1 : len(path)-1] {
+				res.Via[i] = g.hosts[v]
+			}
+			results[start+j], valid[start+j] = res, true
 			return nil
 		})
-	} else {
-		wa := newWorkerArenas(g, workers)
-		defer wa.release()
-		err = fanout.For(a.context(), workers, len(jobs), func(w, i int) error {
-			j := jobs[i]
-			direct, found := g.directEdge(int(j.si), int(j.di))
-			if !found {
-				return nil
-			}
-			var path []int
-			if maxVia == 1 {
-				path, found = g.oneHopAlternate(int(j.si), int(j.di), excluded, wa.pair(w))
-			} else {
-				path, found = g.shortestAlternateInto(wa.pair(w), int(j.si), int(j.di), maxVia, excluded)
-			}
-			if !found {
-				return nil
-			}
-			return fill(i, direct, path)
-		})
-	}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -516,10 +453,17 @@ func (a *Analyzer) AnalyzeEpisodes() (EpisodeAnalysis, error) {
 		chunk = len(a.ds.Episodes)
 	}
 	outs := make([]episodeOut, chunk)
-	// One graph per worker, rebuilt in place per episode: the CSR and
-	// staging slabs are retained across resets, so steady-state episode
-	// processing allocates almost nothing.
-	graphs := make([]*graph, workers)
+	// One graph per worker, rebuilt in place per episode, with its search
+	// arenas and key and destination buffers: the CSR and staging slabs
+	// are retained across resets, so steady-state episode processing
+	// allocates little beyond the found paths.
+	type episodeWorker struct {
+		g    *graph
+		wa   *workerArenas
+		keys []dataset.PairKey
+		dsts []int32
+	}
+	ews := make([]episodeWorker, workers)
 	// Running aggregates, merged chunk by chunk in episode order:
 	// identical accumulation order to a sequential pass, so the result
 	// is independent of worker count and chunking.
@@ -533,47 +477,45 @@ func (a *Analyzer) AnalyzeEpisodes() (EpisodeAnalysis, error) {
 		}
 		err := fanout.For(a.context(), workers, nb, func(w, i int) error {
 			ep := a.ds.Episodes[base+i]
-			g := graphs[w]
-			if g == nil {
-				g = newGraph(hosts, index)
-				graphs[w] = g
+			ew := &ews[w]
+			if ew.g == nil {
+				ew.g = newGraph(hosts, index)
+				ew.wa = newWorkerArenas(ew.g, 1)
 			} else {
-				g.reset()
+				ew.g.reset()
 			}
-			// Deterministic edge insertion order.
-			keys := make([]dataset.PairKey, 0, len(ep.RTTMs))
-			for k := range ep.RTTMs {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(i, j int) bool {
-				if keys[i].Src != keys[j].Src {
-					return keys[i].Src < keys[j].Src
-				}
-				return keys[i].Dst < keys[j].Dst
-			})
+			g := ew.g
+			// Deterministic edge insertion order; a source's pairs are
+			// consecutive, so each source run is one batch search.
+			keys := dataset.SortedKeys(ep.RTTMs, ew.keys)
+			ew.keys = keys
 			for _, k := range keys {
 				v := ep.RTTMs[k]
-				si, di := index[k.Src], index[k.Dst]
-				g.addEdge(si, edge{to: di, weight: v, value: v})
+				g.addEdge(index[k.Src], edge{to: index[k.Dst], weight: v, value: v})
 			}
 			g.freeze()
 			out := &outs[i]
 			out.keys = out.keys[:0]
 			out.diffs = out.diffs[:0]
 			out.relays = out.relays[:0]
-			for _, k := range keys {
-				si, di := index[k.Src], index[k.Dst]
-				path, found := g.shortestAlternate(si, di, 0, nil)
-				if !found {
-					continue
+			for start, end := 0, 0; start < len(keys); start = end {
+				ew.dsts = ew.dsts[:0]
+				for end = start; end < len(keys) && keys[end].Src == keys[start].Src; end++ {
+					ew.dsts = append(ew.dsts, int32(index[keys[end].Dst]))
 				}
-				altVal, _, err := g.composePath(MetricRTT, path)
+				err := g.alternatesFrom(index[keys[start].Src], ew.dsts, 0, nil, ew.wa, 0, func(j int, direct edge, path []int) error {
+					altVal, _, err := g.composePath(MetricRTT, path)
+					if err != nil {
+						return err
+					}
+					out.keys = append(out.keys, keys[start+j])
+					out.diffs = append(out.diffs, direct.value-altVal)
+					out.relays = append(out.relays, hosts[path[1]])
+					return nil
+				})
 				if err != nil {
 					return err
 				}
-				out.keys = append(out.keys, k)
-				out.diffs = append(out.diffs, ep.RTTMs[k]-altVal)
-				out.relays = append(out.relays, hosts[path[1]])
 			}
 			return nil
 		})
@@ -595,18 +537,8 @@ func (a *Analyzer) AnalyzeEpisodes() (EpisodeAnalysis, error) {
 		}
 	}
 	var pairAveraged []float64
-	pairKeys := make([]dataset.PairKey, 0, len(perPair))
-	for k := range perPair {
-		pairKeys = append(pairKeys, k)
-	}
-	sort.Slice(pairKeys, func(i, j int) bool {
-		if pairKeys[i].Src != pairKeys[j].Src {
-			return pairKeys[i].Src < pairKeys[j].Src
-		}
-		return pairKeys[i].Dst < pairKeys[j].Dst
-	})
 	var churn []float64
-	for _, k := range pairKeys {
+	for _, k := range dataset.SortedKeys(perPair, nil) {
 		pairAveraged = append(pairAveraged, perPair[k].Mean())
 		seq := relaySeq[k]
 		if len(seq) < 2 {

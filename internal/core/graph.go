@@ -415,7 +415,7 @@ func (q *pq) pop() pqItem {
 // buffers of the bounded DP. Scratches live in the graph's pool; a
 // search borrows one, so concurrent searches never share state. The
 // batched analyses instead hold one arena per worker for the duration
-// of a whole shard (see bestAlternatesWith).
+// of a whole shard (see workerArenas and alternatesFrom).
 type searchScratch struct {
 	dist []float64
 	prev []int32
@@ -463,25 +463,14 @@ func newSearchScratch(n int) *searchScratch {
 	return s
 }
 
-// shortestAlternate finds the minimum-weight path src->dst that does not
-// use the direct src->dst edge, optionally excluding a set of vertices
-// (for the host-removal analysis). maxVia limits the number of
-// intermediate hosts: 0 means unlimited, 1 restricts to one-hop
-// alternates (the paper's bandwidth and median analyses). It returns the
-// vertex sequence including endpoints, or ok=false if no alternate
-// exists. Safe for concurrent use on a frozen graph.
-func (g *graph) shortestAlternate(src, dst, maxVia int, excluded []bool) (path []int, ok bool) {
-	if !g.frozen {
-		g.freeze()
-	}
-	s := g.scratch.Get().(*searchScratch)
-	defer g.scratch.Put(s)
-	return g.shortestAlternateInto(s, src, dst, maxVia, excluded)
-}
-
-// shortestAlternateInto is shortestAlternate with a caller-owned scratch,
-// so batched analyses reuse one arena per worker instead of bouncing
-// through the pool for every pair.
+// shortestAlternateInto finds, in a caller-owned scratch, the
+// minimum-weight path src->dst that does not use the direct src->dst
+// edge, optionally excluding a set of vertices (for the host-removal
+// analysis). maxVia limits the number of intermediate hosts: 0 means
+// unlimited, 1 restricts to one-hop alternates (the paper's bandwidth
+// and median analyses). It returns the vertex sequence including
+// endpoints, or ok=false if no alternate exists. Safe for concurrent use
+// on a frozen graph with distinct scratches.
 func (g *graph) shortestAlternateInto(s *searchScratch, src, dst, maxVia int, excluded []bool) (path []int, ok bool) {
 	if !g.frozen {
 		g.freeze()
@@ -661,6 +650,52 @@ func (g *graph) replayLastHop(src, dst int, s *searchScratch) (path []int, ok bo
 	}
 	//repolint:allow hotalloc -- appends the final hop to the escaping result path: once per resolved pair
 	return append(path, dst), true
+}
+
+// alternatesFrom is the one batch search under every analysis: it finds
+// the best alternate from src to each of dsts and calls visit(i, direct,
+// path) in dsts order for each destination that has a measured direct
+// edge and an alternate. An unlimited search (maxVia == 0) builds one
+// source tree for all of src's destinations and then takes, per
+// destination, the tree's own path when it reaches dst through a relay,
+// a replay of the tree when the direct edge won and dst is a leaf, or a
+// per-pair search with the direct edge removed when dst is an interior
+// vertex or unreachable. A bounded search runs the per-pair search for
+// every destination. Scratches come from slot w of wa; the tree stays
+// live across the loop, so per-pair searches use the second arena.
+func (g *graph) alternatesFrom(src int, dsts []int32, maxVia int, excluded []bool, wa *workerArenas, w int, visit func(i int, direct edge, path []int) error) error {
+	var tree *searchScratch
+	if maxVia == 0 {
+		tree = wa.tree(w)
+		g.sourceTree(src, excluded, tree)
+	}
+	for i, d := range dsts {
+		dst := int(d)
+		direct, found := g.directEdge(src, dst)
+		if !found {
+			continue
+		}
+		p := -1 // dst's tree predecessor; -1 when bounded or unreachable
+		if tree != nil {
+			p = int(tree.prev[dst])
+		}
+		var path []int
+		switch {
+		case p != -1 && p != src:
+			path, found = pathFromPrev(tree.prev, src, dst)
+		case p == src && !tree.parent[dst]:
+			path, found = g.replayLastHop(src, dst, tree)
+		default:
+			path, found = g.shortestAlternateInto(wa.pair(w), src, dst, maxVia, excluded)
+		}
+		if !found {
+			continue
+		}
+		if err := visit(i, direct, path); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // dijkstraScan selects the next vertex by scanning the distance array:
@@ -854,7 +889,8 @@ func (g *graph) composePath(metric Metric, path []int) (value float64, sum stats
 	if len(path) < 2 {
 		return 0, stats.Summary{}, fmt.Errorf("core: path too short: %v", path)
 	}
-	parts := make([]stats.Summary, 0, len(path)-1)
+	var buf [8]stats.Summary // on the stack unless the path has more hops
+	parts := buf[:0]
 	weightTotal := 0.0
 	for i := 0; i+1 < len(path); i++ {
 		e, found := g.directEdge(path[i], path[i+1])

@@ -31,6 +31,15 @@ func addLoss(ds *dataset.Dataset, src, dst, lost, total int) {
 	}
 }
 
+// shortestAlternate runs one per-pair search in a pooled scratch: the
+// reference the batch searches are checked against.
+func (g *graph) shortestAlternate(src, dst, maxVia int, excluded []bool) (path []int, ok bool) {
+	g.freeze()
+	s := g.scratch.Get().(*searchScratch)
+	defer g.scratch.Put(s)
+	return g.shortestAlternateInto(s, src, dst, maxVia, excluded)
+}
+
 func hostIDs(n int) []topology.HostID {
 	out := make([]topology.HostID, n)
 	for i := range out {

@@ -9,6 +9,7 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
 	"iter"
 	"math"
@@ -36,6 +37,23 @@ func (k PairKey) String() string { return fmt.Sprintf("%d->%d", k.Src, k.Dst) }
 
 // Reverse returns the key of the opposite direction.
 func (k PairKey) Reverse() PairKey { return PairKey{Src: k.Dst, Dst: k.Src} }
+
+// Compare orders pair keys by source, then destination: the canonical
+// pair order of every sorted pair listing.
+func (k PairKey) Compare(o PairKey) int {
+	return cmp.Or(cmp.Compare(k.Src, o.Src), cmp.Compare(k.Dst, o.Dst))
+}
+
+// SortedKeys returns m's keys in canonical pair order, reusing buf's
+// storage when it is large enough (pass nil for a fresh slice).
+func SortedKeys[V any](m map[PairKey]V, buf []PairKey) []PairKey {
+	keys := slices.Grow(buf[:0], len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, PairKey.Compare)
+	return keys
+}
 
 // MaxEchoRun is the most samples of either kind one invocation record
 // holds: its counts are bytes. An invocation with more samples takes
@@ -519,16 +537,6 @@ func (d *Dataset) PairKeys() []PairKey {
 	if d.pairKeys != nil && len(d.pairKeys) == len(d.Paths) {
 		return d.pairKeys
 	}
-	keys := make([]PairKey, 0, len(d.Paths))
-	for k := range d.Paths {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Src != keys[j].Src {
-			return keys[i].Src < keys[j].Src
-		}
-		return keys[i].Dst < keys[j].Dst
-	})
-	d.pairKeys = keys
-	return keys
+	d.pairKeys = SortedKeys(d.Paths, nil)
+	return d.pairKeys
 }

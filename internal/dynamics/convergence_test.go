@@ -2,6 +2,7 @@ package dynamics
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"pathsel/internal/bgp"
@@ -99,7 +100,7 @@ func TestZeroDelayMatchesTimeline(t *testing.T) {
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("error mismatch at %v: %v vs %v", at, err1, err2)
 			}
-			if err1 == nil && routeSignature(p1) != routeSignature(p2) {
+			if err1 == nil && !slices.Equal(p1.Routers, p2.Routers) {
 				t.Fatalf("path mismatch at %v", at)
 			}
 		}
@@ -138,7 +139,7 @@ func TestDelayBlackholesBrokenRoutes(t *testing.T) {
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("post-delay error mismatch: %v vs %v", err1, err2)
 		}
-		if err1 == nil && routeSignature(p1) != routeSignature(p2) {
+		if err1 == nil && !slices.Equal(p1.Routers, p2.Routers) {
 			t.Fatal("post-delay path differs from the converged timeline")
 		}
 	}
@@ -159,7 +160,7 @@ func TestDelayBlackholesBrokenRoutes(t *testing.T) {
 			if (errD == nil) != (errT == nil) {
 				t.Fatalf("unaffected pair %d->%d error mismatch: %v vs %v", hs.ID, hd.ID, errD, errT)
 			}
-			if errD == nil && routeSignature(pd) != routeSignature(pt) {
+			if errD == nil && !slices.Equal(pd.Routers, pt.Routers) {
 				t.Fatalf("unaffected pair %d->%d rerouted during the delay window", hs.ID, hd.ID)
 			}
 			return

@@ -13,6 +13,7 @@
 package dynamics
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -294,17 +295,32 @@ func (tl *Timeline) RouteDominance(src, dst topology.HostID, samples int) (Route
 	}
 	start := tl.epochs[0].Start
 	end := tl.epochs[len(tl.epochs)-1].End
-	counts := map[string]int{}
+	// Routes are keyed by their router IDs, 8 bytes each, built in one
+	// reused buffer; a map lookup by string(key) does not copy it, so
+	// only a route's first sighting allocates. "unreachable" is 11
+	// bytes long, so no route produces it.
+	route := map[string]int{} // key -> index into counts
+	var counts []int
+	var key []byte
 	unreachable := 0
 	for i := 0; i < samples; i++ {
 		t := start + netsim.Time(float64(end-start)*(float64(i)+0.5)/float64(samples))
-		p, err := tl.PathAt(src, dst, t)
-		if err != nil {
+		key = key[:0]
+		if p, err := tl.PathAt(src, dst, t); err != nil {
 			unreachable++
-			counts["unreachable"]++
-			continue
+			key = append(key, "unreachable"...)
+		} else {
+			for _, r := range p.Routers {
+				key = binary.LittleEndian.AppendUint64(key, uint64(r))
+			}
 		}
-		counts[routeSignature(p)]++
+		c, ok := route[string(key)]
+		if !ok {
+			c = len(counts)
+			route[string(key)] = c
+			counts = append(counts, 0)
+		}
+		counts[c]++
 	}
 	st := RouteStats{Samples: samples, DistinctRoutes: len(counts)}
 	max := 0
@@ -316,8 +332,4 @@ func (tl *Timeline) RouteDominance(src, dst topology.HostID, samples int) (Route
 	st.DominantFraction = float64(max) / float64(samples)
 	st.UnreachableFraction = float64(unreachable) / float64(samples)
 	return st, nil
-}
-
-func routeSignature(p forward.Path) string {
-	return fmt.Sprint(p.Routers)
 }

@@ -48,6 +48,7 @@ type Router struct {
 	forwardLatency *obs.Histogram
 	retried        *obs.Counter
 	unavailable    *obs.Counter
+	truncated      *obs.Counter
 }
 
 // NewRouter wires a router over the given worker base URLs. Workers
@@ -68,6 +69,8 @@ func NewRouter(backends []string, defaults experiments.Config, retries int, reg 
 			"Forward attempts retried on a ring successor after a worker failure."),
 		unavailable: reg.Counter("router_unavailable_total",
 			"Requests failed because no healthy worker could serve them."),
+		truncated: reg.Counter("router_truncated_total",
+			"Forwarded responses aborted because their body could not be relayed in full."),
 	}
 	for _, base := range backends {
 		w := &routerWorker{
@@ -174,7 +177,12 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request) {
 		}
 		wk.forwards.Inc()
 		rt.forwardLatency.Observe(time.Since(start).Seconds())
-		copyResponse(w, resp, wk.base)
+		if err := copyResponse(w, resp, wk.base); err != nil {
+			// The status line is already out: drop the connection so the
+			// client sees a broken response, not a short one.
+			rt.truncated.Inc()
+			panic(http.ErrAbortHandler)
+		}
 		return
 	}
 	rt.unavailable.Inc()
@@ -200,8 +208,9 @@ func (rt *Router) tryWorker(r *http.Request, wk *routerWorker) (*http.Response, 
 var copyBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
 
 // copyResponse relays a worker response to the client, tagging which
-// worker served it.
-func copyResponse(w http.ResponseWriter, resp *http.Response, worker string) {
+// worker served it. It returns the body copy's error: a worker that
+// fails mid-body, or a client that goes away.
+func copyResponse(w http.ResponseWriter, resp *http.Response, worker string) error {
 	defer resp.Body.Close()
 	for _, k := range []string{"Content-Type", "Retry-After"} {
 		if v := resp.Header.Get(k); v != "" {
@@ -212,7 +221,8 @@ func copyResponse(w http.ResponseWriter, resp *http.Response, worker string) {
 	w.WriteHeader(resp.StatusCode)
 	buf := copyBufs.Get().(*[]byte)
 	defer copyBufs.Put(buf)
-	io.CopyBuffer(w, resp.Body, *buf) //nolint:errcheck // client disconnects surface as copy errors; nothing to do
+	_, err := io.CopyBuffer(w, resp.Body, *buf)
+	return err
 }
 
 // workerRow is one row of the /api/workers status report.

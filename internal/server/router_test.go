@@ -182,6 +182,37 @@ func TestRouterPanickingWorker(t *testing.T) {
 	}
 }
 
+// TestRouterTruncatedWorkerBody checks that a worker which dies
+// mid-body reaches the router's client as a broken response, not as a
+// clean 200 carrying the fragment, and that the router counts it.
+func TestRouterTruncatedWorkerBody(t *testing.T) {
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "1000")
+		fmt.Fprint(w, `{"partial":`)
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	}))
+	defer worker.Close()
+	reg := obs.NewRegistry()
+	rt := NewRouter([]string{worker.URL}, experiments.Config{Seed: 1, Preset: experiments.Quick}, 2, reg)
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	front := httptest.NewServer(obs.Instrument(reg, quiet, rt))
+	defer front.Close()
+
+	// The abort may come before or after the status line is flushed:
+	// either the request or the body read must fail.
+	if resp, err := http.Get(front.URL + "/api/table1"); err == nil {
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err == nil {
+			t.Fatalf("status %d, body %q read cleanly; want a broken response", resp.StatusCode, body)
+		}
+	}
+	if n := reg.Counter("router_truncated_total", "").Value(); n != 1 {
+		t.Errorf("router_truncated_total = %d, want 1", n)
+	}
+}
+
 func TestRouterAllWorkersFailing(t *testing.T) {
 	a := stubWorker("a", http.StatusServiceUnavailable)
 	defer a.Close()

@@ -50,7 +50,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"sync"
 
 	"pathsel/internal/dataset"
@@ -109,22 +108,6 @@ func (e *enc) pad8() {
 	}
 }
 
-// sortedPairs returns m's keys in (Src, Dst) order; canonical encoding
-// requires a deterministic walk over every map.
-func sortedPairs(m map[dataset.PairKey]float64) []dataset.PairKey {
-	keys := make([]dataset.PairKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Src != keys[j].Src {
-			return keys[i].Src < keys[j].Src
-		}
-		return keys[i].Dst < keys[j].Dst
-	})
-	return keys
-}
-
 // encodeDataset appends one dataset section (without its table entry).
 func encodeDataset(e *enc, d *dataset.Dataset) {
 	keys := d.PairKeys()
@@ -169,11 +152,13 @@ func encodeDataset(e *enc, d *dataset.Dataset) {
 			e.i64(int64(asn))
 		}
 	}
+	var epKeys []dataset.PairKey
 	for _, ep := range d.Episodes {
 		e.f64(float64(ep.At))
 		e.u32(uint32(len(ep.RTTMs)))
 		e.u32(0) // reserved
-		for _, k := range sortedPairs(ep.RTTMs) {
+		epKeys = dataset.SortedKeys(ep.RTTMs, epKeys)
+		for _, k := range epKeys {
 			e.i64(int64(k.Src))
 			e.i64(int64(k.Dst))
 			e.f64(ep.RTTMs[k])
