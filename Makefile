@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: build test vet lint lint-json race bench bench-json bench-scale serve-load fuzz-smoke staticcheck vuln check check-all
+.PHONY: build test vet fmt lint lint-json race bench bench-json bench-scale serve-load fuzz-smoke staticcheck vuln check check-all
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when gofmt would reformat any tracked Go file. testdata/ is
+# skipped (analyzer fixtures there are input, not source), and listing
+# tracked files never walks the untracked .bench_build/ module cache.
+fmt:
+	@out=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # The repo's own analyzer suite, eight checkers over one shared
 # type-checked load: determinism (detrand, and detflow through the
@@ -74,7 +81,8 @@ serve-load:
 	$(GO) run ./cmd/loadtest -out $(LOAD_OUT)
 
 # Short fuzz runs of the parsers that face external input (FuzzLoad is
-# the dataset loader behind `altpath FILE`), plus the packet data
+# the dataset loader behind `altpath FILE`, FuzzSuiteQuery the serving
+# handler's ?seed/?preset parser and the links it writes), plus the packet data
 # plane's and the quantile's invariant fuzzers; CI runs the same
 # budgets. FuzzRestore's and FuzzLoad's inputs are KB-sized snapshots,
 # and the default 60 s minimization of each new coverage input would
@@ -87,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRestore -fuzztime=15s -fuzzminimizetime=50x -run '^$$' ./internal/snapshot
 	$(GO) test -fuzz=FuzzLoad -fuzztime=15s -fuzzminimizetime=50x -run '^$$' ./internal/dataset
 	$(GO) test -fuzz=FuzzQuantile -fuzztime=15s -run '^$$' ./internal/stats
+	$(GO) test -fuzz=FuzzSuiteQuery -fuzztime=15s -run '^$$' ./internal/server
 
 staticcheck:
 	$(GO) run $(STATICCHECK) ./...
@@ -95,7 +104,7 @@ vuln:
 	$(GO) run $(GOVULNCHECK) ./...
 
 # Offline-safe gate: what every PR must pass locally.
-check: vet lint test race
+check: vet fmt lint test race
 
 # check plus the network-fetching tools; matches the full CI run.
 check-all: check staticcheck vuln fuzz-smoke

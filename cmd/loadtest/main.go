@@ -39,13 +39,13 @@ import (
 
 // reportFile is the JSON document committed as the load-test baseline.
 type reportFile struct {
-	Target      string          `json:"target"`
-	Seed        int64           `json:"mixSeed"`
-	Requests    int             `json:"requests"`
-	Concurrency int             `json:"concurrency"`
-	Warmup      int             `json:"warmupRequests"`
-	P99BudgetMs float64         `json:"p99BudgetMs"`
-	ErrorBudget float64         `json:"errorBudget"`
+	Target      string         `json:"target"`
+	Seed        int64          `json:"mixSeed"`
+	Requests    int            `json:"requests"`
+	Concurrency int            `json:"concurrency"`
+	Warmup      int            `json:"warmupRequests"`
+	P99BudgetMs float64        `json:"p99BudgetMs"`
+	ErrorBudget float64        `json:"errorBudget"`
 	Pass        bool           `json:"pass"`
 	Report      loadgen.Report `json:"report"`
 }

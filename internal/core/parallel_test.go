@@ -64,6 +64,23 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if compared == 0 {
 		t.Fatal("no bucket had comparable pairs")
 	}
+	// K>1 path sets with full annotation (Yen sets, composed
+	// cross-metric values, AS sets) at one worker and the default.
+	spec := QuerySpec{Metric: MetricRTT, K: 3, Annotate: true}
+	rs, err := seq.Query(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Pairs) == 0 {
+		t.Fatal("K=3 query found no path sets")
+	}
+	again, err := NewAnalyzer(ds).Query(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Pairs, rs.Pairs) {
+		t.Error("K=3 annotated path sets differ across worker counts")
+	}
 }
 
 // TestParallelGreedyRemoveTop checks that candidate-level parallelism

@@ -48,9 +48,10 @@ type BandwidthQuery struct {
 }
 
 // QuerySpec describes one path-set query. The zero value (plus a
-// Metric) reproduces the classic single-best-alternate analysis; the
-// other fields layer path-set behavior on top without new method
-// families.
+// Metric) reproduces the classic single-best-alternate analysis. K > 1
+// returns ranked path sets; selecting among them (by latency, loss or
+// disjointness) is the consumer's step, through a
+// pathset.SelectionStrategy, as experiments.Multipath does.
 type QuerySpec struct {
 	// Metric drives edge weights and path composition. Ignored when
 	// Bandwidth is set.
@@ -64,23 +65,12 @@ type QuerySpec struct {
 	MaxVia int
 	// Exclude removes hosts from the analysis entirely.
 	Exclude Exclusions
-	// MinDisjointness drops alternates whose disjointness against the
-	// pair's default path (at DisjointnessLevel) is below the
-	// threshold; 0 keeps everything.
-	MinDisjointness   float64
-	DisjointnessLevel pathset.Level
-	// Strategy re-ranks each pair's candidate set (after the
-	// disjointness filter), keeping Keep paths (0 = all). Nil keeps
-	// the engine's ascending-weight order.
-	Strategy pathset.SelectionStrategy
-	Keep     int
 	// Annotate forces full cross-metric annotation: every path gets
 	// LatencyMs and Loss composed from the RTT and loss measurement
 	// graphs, plus its interior AS set, even on plain K=1 queries. A
 	// default path's annotation is its measured edge mean. Without it,
-	// paths carry only the query metric's own annotation — AS sets are
-	// still computed whenever something consumes them (K > 1,
-	// MinDisjointness, or a Strategy).
+	// paths carry only the query metric's own annotation, and AS sets
+	// only when K > 1.
 	Annotate bool
 	// Bucket, when non-nil, restricts every measured edge (annotation
 	// graphs included) to the samples taken in one time-of-day bucket,
@@ -88,7 +78,8 @@ type QuerySpec struct {
 	// all samples.
 	Bucket *netsim.Bucket
 	// Bandwidth, when non-nil, switches to the Mathis-model bandwidth
-	// query (see BandwidthQuery).
+	// query (see BandwidthQuery), which finds the single best one-hop
+	// alternate per pair: K must be 0 or 1.
 	Bandwidth *BandwidthQuery
 }
 
@@ -152,8 +143,8 @@ func (rs ResultSet) BandwidthResults() []BandwidthResult {
 // bit-identical at any worker count: pairs are prefiltered
 // sequentially, searched in parallel into per-pair slots, and
 // compacted in order; every per-pair computation (Yen's candidate
-// ordering, disjointness scoring, strategy selection) is a
-// deterministic function of the frozen graph.
+// ordering, annotation) is a deterministic function of the frozen
+// graph.
 func (a *Analyzer) Query(spec QuerySpec) (ResultSet, error) {
 	if spec.K < 0 {
 		return ResultSet{}, fmt.Errorf("core: negative K %d", spec.K)
@@ -227,7 +218,7 @@ func (a *Analyzer) Query(spec QuerySpec) (ResultSet, error) {
 			return ResultSet{}, err
 		}
 	}
-	return ResultSet{Spec: spec, Pairs: a.finishPairs(spec, pairs)}, nil
+	return ResultSet{Spec: spec, Pairs: pairs}, nil
 }
 
 // queryK is the K>1 engine: per-pair Yen searches sharded across
@@ -300,30 +291,6 @@ func (a *Analyzer) queryK(g *graph, spec QuerySpec, k int, excluded []bool, ann 
 	return out, nil
 }
 
-// finishPairs applies the disjointness filter and the selection
-// strategy, dropping pairs whose set empties out.
-func (a *Analyzer) finishPairs(spec QuerySpec, pairs []PairPathSet) []PairPathSet {
-	if spec.MinDisjointness <= 0 && spec.Strategy == nil {
-		return pairs
-	}
-	out := make([]PairPathSet, 0, len(pairs))
-	for _, p := range pairs {
-		set := p.Alternates
-		if spec.MinDisjointness > 0 {
-			set = set.FilterDisjoint(spec.DisjointnessLevel, p.Default, spec.MinDisjointness)
-		}
-		if spec.Strategy != nil {
-			set = spec.Strategy.Select(p.Default, set, spec.Keep)
-		}
-		if set.Empty() {
-			continue
-		}
-		p.Alternates = set
-		out = append(out, p)
-	}
-	return out
-}
-
 // annotations bundles the optional cross-metric graphs and the AS
 // toggle resolved once per query.
 type annotations struct {
@@ -331,13 +298,11 @@ type annotations struct {
 	ases      bool
 }
 
-// annotationsFor resolves the annotation plan: AS sets whenever
-// something consumes them, cross-metric graphs only under Annotate and
+// annotationsFor resolves the annotation plan: AS sets under Annotate
+// or for K > 1 path sets, cross-metric graphs only under Annotate and
 // only for the metrics the query's own value does not already fill.
 func (a *Analyzer) annotationsFor(spec QuerySpec) (annotations, error) {
-	ann := annotations{
-		ases: spec.Annotate || spec.K > 1 || spec.MinDisjointness > 0 || spec.Strategy != nil,
-	}
+	ann := annotations{ases: spec.Annotate || spec.K > 1}
 	if !spec.Annotate {
 		return ann, nil
 	}
@@ -497,69 +462,66 @@ func (a *Analyzer) pathASes(hops []topology.HostID) []topology.ASN {
 	return out
 }
 
-// queryBandwidth is the Mathis-model branch of Query: one-hop relay
-// enumeration in dataset host order, ranked by descending modeled
-// throughput with the earliest host winning ties.
+// queryBandwidth is the Mathis-model branch of Query: per pair, the
+// single best one-hop relay by modeled throughput, scanned in dataset
+// host order so the earliest host wins ties.
 func (a *Analyzer) queryBandwidth(spec QuerySpec) (ResultSet, error) {
+	if spec.K > 1 {
+		return ResultSet{}, fmt.Errorf("core: bandwidth queries find the single best alternate, not K=%d", spec.K)
+	}
 	bq := spec.Bandwidth
-	k := spec.K
-	if k < 1 {
-		k = 1
+	hosts := a.ds.Hosts
+	n := len(hosts)
+	index := make(map[topology.HostID]int, n)
+	for i, h := range hosts {
+		index[h] = i
 	}
-	excludedSet := map[topology.HostID]bool{}
-	if len(spec.Exclude.Hosts) > 0 {
-		hostSet := map[topology.HostID]bool{}
-		for _, h := range a.ds.Hosts {
-			hostSet[h] = true
-		}
-		for _, h := range spec.Exclude.Hosts {
-			if !hostSet[h] {
-				return ResultSet{}, fmt.Errorf("core: excluded host %d is not in the dataset host list", h)
-			}
-			excludedSet[h] = true
-		}
+	excluded, err := spec.Exclude.mask(hosts, index)
+	if err != nil {
+		return ResultSet{}, err
 	}
-	ann := annotations{ases: spec.Annotate || k > 1 || spec.MinDisjointness > 0 || spec.Strategy != nil}
-	type pathStat struct{ rtt, loss float64 }
-	st := map[dataset.PairKey]pathStat{}
-	for _, key := range a.ds.PairKeys() {
-		rtt, loss, ok := a.ds.TransferMeans(key)
-		if !ok {
+	// Per-path transfer means, dense over host indices; ok marks a
+	// measured path.
+	type pathStat struct {
+		rtt, loss float64
+		ok        bool
+	}
+	st := make([]pathStat, n*n)
+	keys := a.ds.PairKeys()
+	for _, key := range keys {
+		si, ok1 := index[key.Src]
+		di, ok2 := index[key.Dst]
+		if !ok1 || !ok2 {
 			continue
 		}
-		st[key] = pathStat{rtt: rtt.Mean, loss: loss.Mean}
+		if rtt, loss, ok := a.ds.TransferMeans(key); ok {
+			st[si*n+di] = pathStat{rtt: rtt.Mean, loss: loss.Mean, ok: true}
+		}
 	}
-	workers := a.workers()
-	keys := a.ds.PairKeys()
 	slots := make([]PairPathSet, len(keys))
-	valid := make([]bool, len(keys))
-	err := fanout.For(a.context(), workers, len(keys), func(_, i int) error {
+	err = fanout.For(a.context(), a.workers(), len(keys), func(_, i int) error {
 		key := keys[i]
-		if excludedSet[key.Src] || excludedSet[key.Dst] {
+		si, ok1 := index[key.Src]
+		di, ok2 := index[key.Dst]
+		if !ok1 || !ok2 || (excluded != nil && (excluded[si] || excluded[di])) {
 			return nil
 		}
-		direct, ok := st[key]
-		if !ok {
+		direct := st[si*n+di]
+		if !direct.ok {
 			return nil
 		}
 		defBW, err := bq.Model.BandwidthKBs(direct.rtt, direct.loss)
 		if err != nil {
 			return fmt.Errorf("core: default bandwidth for %v: %w", key, err)
 		}
-		type bwCand struct {
-			via       topology.HostID
-			pos       int
-			bw        float64
-			rtt, loss float64
-		}
-		var cands []bwCand
-		for pos, via := range a.ds.Hosts {
-			if via == key.Src || via == key.Dst || excludedSet[via] {
+		bestBW, bestVia := math.Inf(-1), -1
+		var bestRTT, bestLoss float64
+		for v := range hosts {
+			if v == si || v == di || (excluded != nil && excluded[v]) {
 				continue
 			}
-			s1, ok1 := st[dataset.PairKey{Src: key.Src, Dst: via}]
-			s2, ok2 := st[dataset.PairKey{Src: via, Dst: key.Dst}]
-			if !ok1 || !ok2 {
+			s1, s2 := st[si*n+v], st[v*n+di]
+			if !s1.ok || !s2.ok {
 				continue
 			}
 			rtt := s1.rtt + s2.rtt
@@ -574,61 +536,50 @@ func (a *Analyzer) queryBandwidth(spec QuerySpec) (ResultSet, error) {
 			}
 			bw, err := bq.Model.BandwidthKBs(rtt, loss)
 			if err != nil {
-				return fmt.Errorf("core: alternate bandwidth for %v via %d: %w", key, via, err)
+				return fmt.Errorf("core: alternate bandwidth for %v via %d: %w", key, hosts[v], err)
 			}
-			cands = append(cands, bwCand{via: via, pos: pos, bw: bw, rtt: rtt, loss: loss})
+			if bw > bestBW {
+				bestBW, bestVia, bestRTT, bestLoss = bw, v, rtt, loss
+			}
 		}
-		if len(cands) == 0 {
+		if bestVia < 0 {
 			return nil
 		}
-		sort.Slice(cands, func(x, y int) bool {
-			//repolint:allow floateq -- deterministic tie-break: equal throughputs fall to host order
-			if cands[x].bw != cands[y].bw {
-				return cands[x].bw > cands[y].bw
-			}
-			return cands[x].pos < cands[y].pos
-		})
-		if len(cands) > k {
-			cands = cands[:k]
-		}
+		// The default's and the alternate's hops share one slice, each
+		// capped at its own length.
+		hops := []topology.HostID{key.Src, key.Dst, key.Src, hosts[bestVia], key.Dst}
 		def := pathset.Path{
-			Hops:      []topology.HostID{key.Src, key.Dst},
+			Hops:      hops[0:2:2],
 			Weight:    -defBW,
 			Value:     defBW,
 			Summary:   stats.Summary{Mean: defBW},
 			LatencyMs: direct.rtt,
 			Loss:      direct.loss,
 		}
-		if ann.ases {
+		alt := pathset.Path{
+			Hops:      hops[2:5:5],
+			Weight:    -bestBW,
+			Value:     bestBW,
+			Summary:   stats.Summary{Mean: bestBW},
+			LatencyMs: bestRTT,
+			Loss:      bestLoss,
+		}
+		if spec.Annotate {
 			def.ASes = a.pathASes(def.Hops)
+			alt.ASes = a.pathASes(alt.Hops)
 		}
-		set := pathset.PathSet{Paths: make([]pathset.Path, 0, len(cands))}
-		for _, c := range cands {
-			p := pathset.Path{
-				Hops:      []topology.HostID{key.Src, c.via, key.Dst},
-				Weight:    -c.bw,
-				Value:     c.bw,
-				Summary:   stats.Summary{Mean: c.bw},
-				LatencyMs: c.rtt,
-				Loss:      c.loss,
-			}
-			if ann.ases {
-				p.ASes = a.pathASes(p.Hops)
-			}
-			set.Paths = append(set.Paths, p)
-		}
-		slots[i] = PairPathSet{Key: key, Default: def, Alternates: set}
-		valid[i] = true
+		slots[i] = PairPathSet{Key: key, Default: def, Alternates: pathset.PathSet{Paths: []pathset.Path{alt}}}
 		return nil
 	})
 	if err != nil {
 		return ResultSet{}, err
 	}
-	pairs := make([]PairPathSet, 0, len(keys))
-	for i, ok := range valid {
-		if ok {
-			pairs = append(pairs, slots[i])
+	// Compact the pairs that found an alternate, in PairKeys order.
+	pairs := slots[:0]
+	for _, p := range slots {
+		if !p.Alternates.Empty() {
+			pairs = append(pairs, p)
 		}
 	}
-	return ResultSet{Spec: spec, Pairs: a.finishPairs(spec, pairs)}, nil
+	return ResultSet{Spec: spec, Pairs: pairs}, nil
 }

@@ -27,8 +27,12 @@ func oracleAlternates(a *Analyzer, metric Metric, maxVia int) ([]PairResult, err
 
 // oracleBandwidthAlternates is a direct one-hop enumeration of the
 // Mathis-model bandwidth comparison, the oracle for Query's bandwidth
-// branch.
-func oracleBandwidthAlternates(a *Analyzer, model tcpmodel.Model, mode BandwidthMode) ([]BandwidthResult, error) {
+// branch. Excluded hosts are neither endpoints nor relays.
+func oracleBandwidthAlternates(a *Analyzer, model tcpmodel.Model, mode BandwidthMode, exclude ...topology.HostID) ([]BandwidthResult, error) {
+	excluded := map[topology.HostID]bool{}
+	for _, h := range exclude {
+		excluded[h] = true
+	}
 	type pathStat struct{ rtt, loss float64 }
 	st := map[dataset.PairKey]pathStat{}
 	for _, k := range a.ds.PairKeys() {
@@ -41,7 +45,7 @@ func oracleBandwidthAlternates(a *Analyzer, model tcpmodel.Model, mode Bandwidth
 	var out []BandwidthResult
 	for _, k := range a.ds.PairKeys() {
 		direct, ok := st[k]
-		if !ok {
+		if !ok || excluded[k.Src] || excluded[k.Dst] {
 			continue
 		}
 		defBW, err := model.BandwidthKBs(direct.rtt, direct.loss)
@@ -51,7 +55,7 @@ func oracleBandwidthAlternates(a *Analyzer, model tcpmodel.Model, mode Bandwidth
 		bestBW := math.Inf(-1)
 		bestVia := topology.HostID(-1)
 		for _, via := range a.ds.Hosts {
-			if via == k.Src || via == k.Dst {
+			if via == k.Src || via == k.Dst || excluded[via] {
 				continue
 			}
 			s1, ok1 := st[dataset.PairKey{Src: k.Src, Dst: via}]
@@ -110,33 +114,110 @@ func TestQueryK1ByteIdentical(t *testing.T) {
 }
 
 func TestQueryBandwidthByteIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ds := dataset.New("n2", hostIDs(8))
-	for s := 0; s < 8; s++ {
-		for d := 0; d < 8; d++ {
+	ds := bandwidthDataset(7, 8)
+	model := tcpmodel.Default()
+	for _, mode := range []BandwidthMode{Optimistic, Pessimistic} {
+		for _, exclude := range [][]topology.HostID{nil, {2, 5}} {
+			want, err := oracleBandwidthAlternates(NewAnalyzer(ds), model, mode, exclude...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 {
+				t.Fatalf("oracle empty for %v excluding %v", mode, exclude)
+			}
+			for _, conc := range []int{1, 3, 0} {
+				a := NewAnalyzer(ds).WithConcurrency(conc)
+				rs, err := a.Query(QuerySpec{
+					Bandwidth: &BandwidthQuery{Model: model, Mode: mode},
+					Exclude:   Exclusions{Hosts: exclude},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := rs.BandwidthResults(); !reflect.DeepEqual(got, want) {
+					t.Errorf("%v excluding %v conc=%d: bandwidth Query diverges from the oracle", mode, exclude, conc)
+				}
+			}
+		}
+	}
+}
+
+// bandwidthDataset records one transfer on a random ~70% of the n×n
+// ordered pairs.
+func bandwidthDataset(seed int64, n int) *dataset.Dataset {
+	rng := rand.New(rand.NewSource(seed))
+	ds := dataset.New("n2", hostIDs(n))
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
 			if s == d || rng.Float64() > 0.7 {
 				continue
 			}
 			addTransfer(ds, s, d, 20+200*rng.Float64(), 0.05*rng.Float64())
 		}
 	}
-	model := tcpmodel.Default()
-	for _, mode := range []BandwidthMode{Optimistic, Pessimistic} {
-		want, err := oracleBandwidthAlternates(NewAnalyzer(ds), model, mode)
-		if err != nil {
-			t.Fatal(err)
+	return ds
+}
+
+// TestQueryBandwidthSingleBest: bandwidth queries find one alternate
+// per pair, validate their exclusions against the host list, and never
+// route through an excluded host.
+func TestQueryBandwidthSingleBest(t *testing.T) {
+	ds := bandwidthDataset(9, 10)
+	a := NewAnalyzer(ds)
+	bq := &BandwidthQuery{Model: tcpmodel.Default(), Mode: Pessimistic}
+	if _, err := a.Query(QuerySpec{Bandwidth: bq, K: 2}); err == nil {
+		t.Error("bandwidth query with K=2 should error")
+	}
+	if _, err := a.Query(QuerySpec{Bandwidth: bq, Exclude: Exclusions{Hosts: []topology.HostID{99}}}); err == nil {
+		t.Error("unknown excluded host should error")
+	}
+	// Relays 3 and 2 offer identical legs: the earlier host in the host
+	// list wins the tie.
+	tie := dataset.New("tie", hostIDs(4))
+	addTransfer(tie, 0, 1, 200, 0.04)
+	for _, via := range []int{3, 2} {
+		addTransfer(tie, 0, via, 50, 0.01)
+		addTransfer(tie, via, 1, 50, 0.01)
+	}
+	trs, err := NewAnalyzer(tie).Query(QuerySpec{Bandwidth: bq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := trs.BandwidthResults(); len(rows) != 1 || rows[0].Via != 2 {
+		t.Errorf("tied relays: %+v, want 0->1 via the earlier host 2", rows)
+	}
+	all, err := a.Query(QuerySpec{Bandwidth: bq, K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Excluding the most popular relay must actually reroute pairs.
+	uses := map[topology.HostID]int{}
+	for _, r := range all.BandwidthResults() {
+		uses[r.Via]++
+	}
+	top := topology.HostID(-1)
+	for h, n := range uses {
+		if top < 0 || n > uses[top] || (n == uses[top] && h < top) {
+			top = h
 		}
-		if len(want) == 0 {
-			t.Fatalf("oracle empty for %v", mode)
+	}
+	if top < 0 {
+		t.Fatal("no pair found a relay")
+	}
+	rs, err := a.Query(QuerySpec{Bandwidth: bq, Exclude: Exclusions{Hosts: []topology.HostID{top}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Pairs) == 0 {
+		t.Fatal("no pairs left after excluding one relay")
+	}
+	for _, p := range rs.Pairs {
+		if p.Alternates.Len() != 1 {
+			t.Fatalf("%v: %d alternates, want 1", p.Key, p.Alternates.Len())
 		}
-		for _, conc := range []int{1, 3, 0} {
-			a := NewAnalyzer(ds).WithConcurrency(conc)
-			rs, err := a.Query(QuerySpec{Bandwidth: &BandwidthQuery{Model: model, Mode: mode}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := rs.BandwidthResults(); !reflect.DeepEqual(got, want) {
-				t.Errorf("%v conc=%d: bandwidth Query diverges from the oracle", mode, conc)
+		for _, h := range p.Alternates.Paths[0].Hops {
+			if h == top {
+				t.Fatalf("%v: excluded host %d on path %v", p.Key, top, p.Alternates.Paths[0].Hops)
 			}
 		}
 	}
@@ -321,67 +402,6 @@ func TestQueryAnnotate(t *testing.T) {
 	}
 	if d := pathset.Disjointness(pathset.LevelAS, pp.Default, alt); d != 1 {
 		t.Errorf("disjointness %g, want 1", d)
-	}
-}
-
-func TestQueryDisjointnessAndStrategy(t *testing.T) {
-	// Two relays: 2 shares a measured hop-set with nothing; both
-	// alternates are link-disjoint from the direct default, so a
-	// link-level filter keeps both, and MostDisjoint picks
-	// deterministically.
-	ds := randomDataset(11, 9, 0.6)
-	a := NewAnalyzer(ds)
-	base, err := a.Query(QuerySpec{Metric: MetricRTT, K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	filtered, err := a.Query(QuerySpec{
-		Metric:            MetricRTT,
-		K:                 3,
-		MinDisjointness:   0.5,
-		DisjointnessLevel: pathset.LevelLink,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(filtered.Pairs) > len(base.Pairs) {
-		t.Error("filter added pairs")
-	}
-	for _, p := range filtered.Pairs {
-		for _, alt := range p.Alternates.Paths {
-			if d := pathset.Disjointness(pathset.LevelLink, p.Default, alt); d < 0.5 {
-				t.Errorf("filter leaked path with disjointness %g", d)
-			}
-		}
-	}
-	sel, err := a.Query(QuerySpec{
-		Metric:   MetricRTT,
-		K:        3,
-		Strategy: pathset.ByLatency{},
-		Keep:     1,
-		Annotate: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range sel.Pairs {
-		if p.Alternates.Len() != 1 {
-			t.Fatalf("Keep=1 left %d paths", p.Alternates.Len())
-		}
-	}
-	// Determinism across worker counts for the full K>1 pipeline.
-	again, err := NewAnalyzer(ds).WithConcurrency(1).Query(QuerySpec{
-		Metric:   MetricRTT,
-		K:        3,
-		Strategy: pathset.ByLatency{},
-		Keep:     1,
-		Annotate: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sel.Pairs, again.Pairs) {
-		t.Error("K>1 query differs across worker counts")
 	}
 }
 

@@ -197,21 +197,6 @@ func (s PathSet) MaxDisjointness(level Level, ref Path) float64 {
 	return best
 }
 
-// FilterDisjoint returns the subset whose disjointness against ref at
-// the given level is at least minD, preserving order.
-func (s PathSet) FilterDisjoint(level Level, ref Path, minD float64) PathSet {
-	if minD <= 0 {
-		return s
-	}
-	out := PathSet{}
-	for _, p := range s.Paths {
-		if Disjointness(level, ref, p) >= minD {
-			out.Paths = append(out.Paths, p)
-		}
-	}
-	return out
-}
-
 // lexLess orders paths by hop sequence, the deterministic tie-break of
 // every strategy: shorter prefix first, then lowest differing host.
 func lexLess(a, b Path) bool {

@@ -52,7 +52,7 @@ func TestASDisjointness(t *testing.T) {
 	}
 }
 
-func TestFilterAndMaxDisjoint(t *testing.T) {
+func TestMaxDisjointness(t *testing.T) {
 	ref := Path{Hops: hops(0, 1)}
 	s := PathSet{Paths: []Path{
 		{Hops: hops(0, 1, 2, 1)}, // shares the 0->1 edge (contrived)
@@ -62,17 +62,8 @@ func TestFilterAndMaxDisjoint(t *testing.T) {
 	if got := s.MaxDisjointness(LevelLink, ref); got != 1 {
 		t.Errorf("max disjointness %g, want 1", got)
 	}
-	kept := s.FilterDisjoint(LevelLink, ref, 1)
-	if kept.Len() != 2 {
-		t.Fatalf("kept %d, want 2", kept.Len())
-	}
-	for _, p := range kept.Paths {
-		if Disjointness(LevelLink, ref, p) < 1 {
-			t.Errorf("leaked %v", p.Hops)
-		}
-	}
-	if got := s.FilterDisjoint(LevelLink, ref, 0); got.Len() != s.Len() {
-		t.Error("minD=0 must keep everything")
+	if got := (PathSet{Paths: s.Paths[:1]}).MaxDisjointness(LevelLink, ref); got != 0 {
+		t.Errorf("max disjointness of the edge-sharing path %g, want 0", got)
 	}
 	if got := (PathSet{}).MaxDisjointness(LevelLink, ref); got != 0 {
 		t.Errorf("empty set max %g, want 0", got)
@@ -123,24 +114,6 @@ func TestMostDisjointGreedy(t *testing.T) {
 	}
 	if (MostDisjoint{Level: LevelAS}).Name() != "disjoint-as" {
 		t.Error("name")
-	}
-}
-
-func TestStrategyFunc(t *testing.T) {
-	reverse := StrategyFunc{
-		Label: "reverse",
-		Fn: func(_ Path, set PathSet, n int) PathSet {
-			out := set.Clone()
-			for i, j := 0, len(out.Paths)-1; i < j; i, j = i+1, j-1 {
-				out.Paths[i], out.Paths[j] = out.Paths[j], out.Paths[i]
-			}
-			return truncate(out, n)
-		},
-	}
-	s := PathSet{Paths: []Path{{Hops: hops(0, 2, 1)}, {Hops: hops(0, 3, 1)}}}
-	got := reverse.Select(Path{}, s, 0)
-	if reverse.Name() != "reverse" || got.Paths[0].Hops[1] != 3 {
-		t.Errorf("custom strategy: %v", got.Paths)
 	}
 }
 

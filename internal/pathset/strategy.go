@@ -13,22 +13,6 @@ type SelectionStrategy interface {
 	Select(ref Path, set PathSet, n int) PathSet
 }
 
-// StrategyFunc adapts a plain function to SelectionStrategy — the
-// analog of scion-path-discovery's CustomPathSelectAlg hook, for
-// callers that want a one-off policy without a named type.
-type StrategyFunc struct {
-	Label string
-	Fn    func(ref Path, set PathSet, n int) PathSet
-}
-
-// Name implements SelectionStrategy.
-func (s StrategyFunc) Name() string { return s.Label }
-
-// Select implements SelectionStrategy.
-func (s StrategyFunc) Select(ref Path, set PathSet, n int) PathSet {
-	return s.Fn(ref, set, n)
-}
-
 // ByLatency keeps the n paths with the lowest round-trip time. Paths
 // without a latency annotation sort after annotated ones, falling back
 // to the set's native Weight order.

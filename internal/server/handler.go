@@ -8,6 +8,7 @@ import (
 	"html/template"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -205,19 +206,22 @@ type seriesJSON struct {
 
 // cdfQuery reproduces the request's configuration parameters on nested
 // endpoint links, so a figure fetched for one seed links to CDFs of
-// the same seed.
-func cdfQuery(r *http.Request) string {
+// the same seed. The links carry the parsed values (cfg, resolved from
+// r) of the parameters the request set, re-encoded: a raw "seed=%2B5"
+// would decode to " 5" once copied into a link.
+func cdfQuery(r *http.Request, cfg experiments.Config) string {
 	q := r.URL.Query()
-	keep := make([]string, 0, 2)
-	for _, k := range []string{"seed", "preset"} {
-		if v := q.Get(k); v != "" {
-			keep = append(keep, k+"="+v)
-		}
+	keep := url.Values{}
+	if q.Get("seed") != "" {
+		keep.Set("seed", strconv.FormatInt(cfg.Seed, 10))
+	}
+	if q.Get("preset") != "" {
+		keep.Set("preset", cfg.Preset.String())
 	}
 	if len(keep) == 0 {
 		return ""
 	}
-	return "?" + strings.Join(keep, "&")
+	return "?" + keep.Encode()
 }
 
 // series returns the memoized curves of the figure a path segment
@@ -237,6 +241,8 @@ func (h *handler) figure(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	cfg, _ := h.configFrom(r) // h.series has already rejected a bad one
+	query := cdfQuery(r, cfg)
 	out := make([]seriesJSON, 0, len(series))
 	for _, sr := range series {
 		med, _ := sr.CDF.Quantile(0.5)
@@ -244,7 +250,7 @@ func (h *handler) figure(w http.ResponseWriter, r *http.Request) {
 		out = append(out, seriesJSON{
 			Name: sr.Name, N: sr.CDF.N(), Median: med, P90: p90,
 			FracAbove0:  sr.CDF.FractionAbove(0),
-			CDFEndpoint: fmt.Sprintf("/api/cdf/%s/%s%s", n, slug(sr.Name), cdfQuery(r)),
+			CDFEndpoint: fmt.Sprintf("/api/cdf/%s/%s%s", n, slug(sr.Name), query),
 		})
 	}
 	writeJSON(w, out)

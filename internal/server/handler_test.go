@@ -364,3 +364,31 @@ func TestConcurrentRequests(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestFigureLinksUseParsedConfig: the CDF links of a figure carry the
+// configuration the request resolved to, re-encoded, so a seed written
+// as "%2B1" ("+1") links as seed=1 and the link serves.
+func TestFigureLinksUseParsedConfig(t *testing.T) {
+	h := testHandler(t)
+	rec := get(t, h, "/api/figure/1?seed=%2B1&preset=quick")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	var series []struct {
+		CDF string `json:"cdf"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &series); err != nil {
+		t.Fatal(err)
+	}
+	if len(series) == 0 {
+		t.Fatal("no series")
+	}
+	for _, sr := range series {
+		if !strings.HasSuffix(sr.CDF, "?preset=quick&seed=1") {
+			t.Errorf("link %q does not carry the parsed configuration", sr.CDF)
+		}
+	}
+	if rec := get(t, h, series[0].CDF); rec.Code != http.StatusOK {
+		t.Errorf("link %s: status %d: %s", series[0].CDF, rec.Code, rec.Body.String())
+	}
+}
