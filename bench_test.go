@@ -113,7 +113,7 @@ func BenchmarkBestAlternatesPreset(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				results := rs.PairResults()
+				results := rs.Rows
 				if len(results) == 0 {
 					b.Fatal("no results")
 				}
@@ -140,10 +140,10 @@ func BenchmarkQueryK(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(rs.Pairs) == 0 {
+				if len(rs.Rows) == 0 {
 					b.Fatal("no results")
 				}
-				pairs = len(rs.Pairs)
+				pairs = len(rs.Rows)
 			}
 			b.ReportMetric(float64(pairs), "pairs")
 		})
@@ -392,7 +392,7 @@ func BenchmarkAblationHopLimit(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				results := rs.PairResults()
+				results := rs.Rows
 				if len(results) == 0 {
 					b.Fatal("no results")
 				}

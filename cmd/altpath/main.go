@@ -91,6 +91,9 @@ func run(ds *dataset.Dataset, metricStr string, maxVia, k, workers int, plot, ep
 		return runEpisodes(analyzer)
 	}
 	if metricStr == "bw" {
+		if k > 1 {
+			return fmt.Errorf("-k %d: the bw metric finds only the single best relay per pair", k)
+		}
 		return runBandwidth(analyzer)
 	}
 
@@ -105,11 +108,11 @@ func run(ds *dataset.Dataset, metricStr string, maxVia, k, workers int, plot, ep
 	default:
 		return fmt.Errorf("unknown metric %q", metricStr)
 	}
-	rs, err := analyzer.Query(core.QuerySpec{Metric: metric, MaxVia: maxVia, K: k, Annotate: k > 1})
+	rs, err := analyzer.Query(core.QuerySpec{Metric: metric, MaxVia: maxVia, K: k})
 	if err != nil {
 		return err
 	}
-	results := rs.PairResults()
+	results := rs.Rows
 	if len(results) == 0 {
 		return fmt.Errorf("no comparable pairs in dataset")
 	}
@@ -195,7 +198,7 @@ func runBandwidth(analyzer *core.Analyzer) error {
 		if err != nil {
 			return err
 		}
-		results := rs.BandwidthResults()
+		results := rs.Bandwidth
 		if len(results) == 0 {
 			return fmt.Errorf("no transfer measurements in dataset (collect with -method transfer)")
 		}

@@ -88,6 +88,18 @@ func TestRunErrors(t *testing.T) {
 	if err := runFile(p, "rtt", 0, 0, false, false); err == nil {
 		t.Error("empty dataset accepted")
 	}
+	// The bw metric finds one relay per pair: -k above 1 is refused,
+	// not silently ignored.
+	bw := dataset.New("bw", []topology.HostID{0, 1, 2})
+	for _, k := range []dataset.PairKey{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 2, Dst: 1}} {
+		bw.RecordTransfer(k, dataset.TransferSample{MeanRTTMs: 50, LossRate: 0.01, Packets: 100})
+	}
+	if err := run(bw, "bw", 0, 1, 0, false, false); err != nil {
+		t.Fatalf("bw at k=1: %v", err)
+	}
+	if err := run(bw, "bw", 0, 3, 0, false, false); err == nil {
+		t.Error("bw with -k 3 accepted")
+	}
 	// Files that are not one-dataset snapshots are load errors, never
 	// panics.
 	valid, err := os.ReadFile(path)

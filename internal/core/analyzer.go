@@ -347,14 +347,14 @@ func (a *Analyzer) BestMedianAlternates() ([]MedianResult, error) {
 		}
 		dists[k] = pathDist{median: m, thin: d.Thin(stats.ConvolutionPoints)}
 	}
-	pairs := rs.Pairs
-	results := make([]MedianResult, len(pairs))
-	valid := make([]bool, len(pairs))
+	rows := rs.Rows
+	results := make([]MedianResult, len(rows))
+	valid := make([]bool, len(rows))
 	workers := a.workers()
 	scratch := make([][]float64, workers) // cross sums, one buffer per worker
-	err = fanout.For(a.context(), workers, len(pairs), func(w, i int) error {
-		p := pairs[i]
-		k := p.Key
+	err = fanout.For(a.context(), workers, len(rows), func(w, i int) error {
+		r := rows[i]
+		k := r.Key
 		directDist, ok := dists[k]
 		if !ok {
 			return nil
@@ -385,7 +385,7 @@ func (a *Analyzer) BestMedianAlternates() ([]MedianResult, error) {
 		}
 		results[i] = MedianResult{
 			Key:               k,
-			MeanImprovement:   p.Default.Value - p.Alternates.Paths[0].Value,
+			MeanImprovement:   r.Improvement(),
 			MedianImprovement: directDist.median - bestMedian,
 		}
 		valid[i] = true
@@ -394,7 +394,7 @@ func (a *Analyzer) BestMedianAlternates() ([]MedianResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]MedianResult, 0, len(pairs))
+	out := make([]MedianResult, 0, len(rows))
 	for i, ok := range valid {
 		if ok {
 			out = append(out, results[i])

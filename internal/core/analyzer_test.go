@@ -20,7 +20,7 @@ func TestBestAlternatesRTT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := rs.PairResults()
+	results := rs.Rows
 	// Pairs with an alternate: only 0->1 (others lack alternates).
 	if len(results) != 1 {
 		t.Fatalf("got %d results, want 1: %+v", len(results), results)
@@ -56,7 +56,7 @@ func TestBestAlternatesLossComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := rs.PairResults()
+	results := rs.Rows
 	if len(results) != 1 {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -82,7 +82,7 @@ func TestBestAlternatesWorseAlternate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := rs.PairResults()
+	results := rs.Rows
 	if len(results) != 1 || results[0].Improvement() >= 0 {
 		t.Fatalf("expected one negative-improvement result, got %+v", results)
 	}
@@ -134,7 +134,7 @@ func TestBestBandwidthAlternates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results := rs.BandwidthResults()
+		results := rs.Bandwidth
 		if len(results) != 1 {
 			t.Fatalf("%v: got %d results", mode, len(results))
 		}
@@ -177,12 +177,12 @@ func TestOptimisticAtLeastPessimistic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := rs.BandwidthResults()
+	opt := rs.Bandwidth
 	rs, err = a.Query(QuerySpec{Bandwidth: &BandwidthQuery{Model: model, Mode: Pessimistic}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pess := rs.BandwidthResults()
+	pess := rs.Bandwidth
 	if len(opt) != len(pess) {
 		t.Fatalf("result lengths differ")
 	}
@@ -306,12 +306,12 @@ func TestBestAlternatesDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1 := rs.PairResults()
+	r1 := rs.Rows
 	rs, err = a.Query(QuerySpec{Metric: MetricRTT})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := rs.PairResults()
+	r2 := rs.Rows
 	if len(r1) != len(r2) {
 		t.Fatal("nondeterministic result count")
 	}

@@ -57,7 +57,7 @@ func BenchmarkBestAlternates(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				results := rs.PairResults()
+				results := rs.Rows
 				if len(results) == 0 {
 					b.Fatal("no results")
 				}
@@ -88,7 +88,7 @@ func BenchmarkBestAlternatesParallel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				results := rs.PairResults()
+				results := rs.Rows
 				if len(results) == 0 {
 					b.Fatal("no results")
 				}

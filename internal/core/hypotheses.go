@@ -164,7 +164,7 @@ func (a *Analyzer) GreedyRemoveTop(metric Metric, maxVia, n int) ([]RemovalStep,
 	if err != nil {
 		return nil, nil, err
 	}
-	return steps, final.PairResults(), nil
+	return steps, final.Rows, nil
 }
 
 // Contribution is a host's normalized improvement contribution: how often
@@ -273,7 +273,7 @@ func (a *Analyzer) ASAppearances(metric Metric, maxVia int) ([]ASCount, error) {
 	if err != nil {
 		return nil, err
 	}
-	results := rs.PairResults()
+	results := rs.Rows
 	direct := map[topology.ASN]int{}
 	alt := map[topology.ASN]int{}
 	asesOf := func(k dataset.PairKey) []topology.ASN {
@@ -393,7 +393,7 @@ func (a *Analyzer) DecomposeDelay() ([]DelayDecomposition, error) {
 	if err != nil {
 		return nil, err
 	}
-	results := rs.PairResults()
+	results := rs.Rows
 	prop := map[dataset.PairKey]float64{}
 	for _, k := range a.ds.PairKeys() {
 		if v, ok := a.ds.PropagationDelay(k, PropagationQuantile); ok {

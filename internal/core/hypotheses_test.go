@@ -82,7 +82,7 @@ func TestBucketResults(t *testing.T) {
 	a := NewAnalyzer(ds)
 	bucket := func(metric Metric, b netsim.Bucket) ([]PairResult, error) {
 		rs, err := a.Query(QuerySpec{Metric: metric, Bucket: &b})
-		return rs.PairResults(), err
+		return rs.Rows, err
 	}
 	mres, err := bucket(MetricRTT, netsim.BucketMorning)
 	if err != nil {

@@ -28,12 +28,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v/maxVia=%d sequential: %v", metric, maxVia, err)
 			}
-			want := rs.PairResults()
+			want := rs.Rows
 			rs, err = par.Query(QuerySpec{Metric: metric, MaxVia: maxVia})
 			if err != nil {
 				t.Fatalf("%v/maxVia=%d parallel: %v", metric, maxVia, err)
 			}
-			got := rs.PairResults()
+			got := rs.Rows
 			if len(want) == 0 {
 				t.Fatalf("%v/maxVia=%d: no comparable pairs", metric, maxVia)
 			}
@@ -51,11 +51,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v/%v sequential: %v", metric, b, err)
 			}
-			want := rs.PairResults()
+			want := rs.Rows
 			if rs, err = par.Query(spec); err != nil {
 				t.Fatalf("%v/%v parallel: %v", metric, b, err)
 			}
-			if got := rs.PairResults(); !reflect.DeepEqual(got, want) {
+			if got := rs.Rows; !reflect.DeepEqual(got, want) {
 				t.Errorf("%v/%v: parallel bucketed results differ from sequential", metric, b)
 			}
 			compared += len(want)
@@ -234,7 +234,7 @@ func TestSharedTreeMatchesPerPair(t *testing.T) {
 					t.Fatal(err)
 				}
 				got := map[dataset.PairKey][]topology.HostID{}
-				for _, r := range rs.PairResults() {
+				for _, r := range rs.Rows {
 					got[r.Key] = r.Via
 				}
 				found := 0

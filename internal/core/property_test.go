@@ -50,12 +50,12 @@ func TestPropertyOneHopIsUpperBoundForUnrestricted(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		oneHop := rs.PairResults()
+		oneHop := rs.Rows
 		rs, err = a.Query(QuerySpec{Metric: MetricRTT})
 		if err != nil {
 			return false
 		}
-		unrestricted := rs.PairResults()
+		unrestricted := rs.Rows
 		byKey := map[dataset.PairKey]float64{}
 		for _, r := range unrestricted {
 			byKey[r.Key] = r.AltValue
@@ -89,7 +89,7 @@ func TestPropertyLossValuesAreProbabilities(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		results := rs.PairResults()
+		results := rs.Rows
 		for _, r := range results {
 			if r.AltValue < 0 || r.AltValue > 1 {
 				return false
@@ -119,7 +119,7 @@ func TestPropertyAlternateNeverUsesDirectEdge(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			results := rs.PairResults()
+			results := rs.Rows
 			for _, r := range results {
 				if len(r.Via) == 0 {
 					return false
@@ -148,7 +148,7 @@ func TestPropertyVerdictsPartition(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		results := rs.PairResults()
+		results := rs.Rows
 		v := ClassifyVerdicts(results, 0.95)
 		return v.Total() == len(results) &&
 			v.Better >= 0 && v.Worse >= 0 && v.Indeterminate >= 0 && v.BothZero >= 0

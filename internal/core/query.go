@@ -9,7 +9,6 @@ import (
 	"pathsel/internal/fanout"
 	"pathsel/internal/netsim"
 	"pathsel/internal/pathset"
-	"pathsel/internal/stats"
 	"pathsel/internal/tcpmodel"
 	"pathsel/internal/topology"
 )
@@ -47,10 +46,10 @@ type BandwidthQuery struct {
 	Mode  BandwidthMode
 }
 
-// QuerySpec describes one path-set query. The zero value (plus a
-// Metric) reproduces the classic single-best-alternate analysis. K > 1
-// returns ranked path sets; selecting among them (by latency, loss or
-// disjointness) is the consumer's step, through a
+// QuerySpec describes one query. The zero value (plus a Metric)
+// reproduces the classic single-best-alternate analysis, one row per
+// pair. K > 1 also returns ranked path sets; selecting among them (by
+// latency, loss or disjointness) is the consumer's step, through a
 // pathset.SelectionStrategy, as experiments.Multipath does.
 type QuerySpec struct {
 	// Metric drives edge weights and path composition. Ignored when
@@ -65,12 +64,12 @@ type QuerySpec struct {
 	MaxVia int
 	// Exclude removes hosts from the analysis entirely.
 	Exclude Exclusions
-	// Annotate forces full cross-metric annotation: every path gets
-	// LatencyMs and Loss composed from the RTT and loss measurement
-	// graphs, plus its interior AS set, even on plain K=1 queries. A
-	// default path's annotation is its measured edge mean. Without it,
-	// paths carry only the query metric's own annotation, and AS sets
-	// only when K > 1.
+	// Annotate asks for path sets with full cross-metric annotation,
+	// even at K=1: every path gets LatencyMs and Loss composed from the
+	// RTT and loss measurement graphs. A default path's annotation is
+	// its measured edge mean. Without it, paths carry only the query
+	// metric's own annotation. Paths carry their interior AS sets when
+	// K > 1, annotated or not. Graph queries only.
 	Annotate bool
 	// Bucket, when non-nil, restricts every measured edge (annotation
 	// graphs included) to the samples taken in one time-of-day bucket,
@@ -79,12 +78,13 @@ type QuerySpec struct {
 	Bucket *netsim.Bucket
 	// Bandwidth, when non-nil, switches to the Mathis-model bandwidth
 	// query (see BandwidthQuery), which finds the single best one-hop
-	// alternate per pair: K must be 0 or 1.
+	// alternate per pair: K must be 0 or 1, and Bucket and Annotate
+	// unset.
 	Bandwidth *BandwidthQuery
 }
 
-// PairPathSet is one pair's query result: the measured default path
-// and the selected alternate set, best first.
+// PairPathSet is one pair's path-set result: the measured default
+// path and the selected alternate set, best first.
 type PairPathSet struct {
 	Key        dataset.PairKey
 	Default    pathset.Path
@@ -93,58 +93,24 @@ type PairPathSet struct {
 
 // ResultSet is the outcome of one Query over every measured pair, in
 // deterministic PairKeys order. Pairs without a measured default path
-// or without any surviving alternate are omitted.
+// or without any surviving alternate are omitted. Each field is filled
+// by the queries that produce it and nil otherwise:
+//   - Rows, by every graph query: one row per pair, its best alternate
+//     against its default (at K > 1, the head of each path set);
+//   - Bandwidth, by bandwidth queries;
+//   - Pairs, by the queries that ask for paths: K > 1, or Annotate.
 type ResultSet struct {
-	Spec  QuerySpec
-	Pairs []PairPathSet
+	Spec      QuerySpec
+	Rows      []PairResult
+	Bandwidth []BandwidthResult
+	Pairs     []PairPathSet
 }
 
-// PairResults flattens the set to one row per pair: each pair's first
-// alternate versus its default.
-func (rs ResultSet) PairResults() []PairResult {
-	out := make([]PairResult, 0, len(rs.Pairs))
-	for _, p := range rs.Pairs {
-		best, ok := p.Alternates.Best()
-		if !ok {
-			continue
-		}
-		out = append(out, PairResult{
-			Key:          p.Key,
-			Default:      p.Default.Summary,
-			Alternate:    best.Summary,
-			DefaultValue: p.Default.Value,
-			AltValue:     best.Value,
-			Via:          best.Via(),
-		})
-	}
-	return out
-}
-
-// BandwidthResults flattens a bandwidth query to one row per pair:
-// modeled default and best-alternate throughputs.
-func (rs ResultSet) BandwidthResults() []BandwidthResult {
-	out := make([]BandwidthResult, 0, len(rs.Pairs))
-	for _, p := range rs.Pairs {
-		best, ok := p.Alternates.Best()
-		if !ok || len(best.Hops) < 3 {
-			continue
-		}
-		out = append(out, BandwidthResult{
-			Key:        p.Key,
-			DefaultKBs: p.Default.Value,
-			AltKBs:     best.Value,
-			Via:        best.Hops[1],
-		})
-	}
-	return out
-}
-
-// Query runs one path-set query. Output is in PairKeys order and
-// bit-identical at any worker count: pairs are prefiltered
-// sequentially, searched in parallel into per-pair slots, and
-// compacted in order; every per-pair computation (Yen's candidate
-// ordering, annotation) is a deterministic function of the frozen
-// graph.
+// Query runs one query. Output is in PairKeys order and bit-identical
+// at any worker count: pairs are prefiltered sequentially, searched in
+// parallel into per-pair slots, and compacted in order; every per-pair
+// computation (Yen's candidate ordering, annotation) is a
+// deterministic function of the frozen graph.
 func (a *Analyzer) Query(spec QuerySpec) (ResultSet, error) {
 	if spec.K < 0 {
 		return ResultSet{}, fmt.Errorf("core: negative K %d", spec.K)
@@ -153,7 +119,14 @@ func (a *Analyzer) Query(spec QuerySpec) (ResultSet, error) {
 		if spec.Bucket != nil {
 			return ResultSet{}, fmt.Errorf("core: bandwidth queries take no time-of-day bucket")
 		}
-		return a.queryBandwidth(spec)
+		if spec.Annotate {
+			return ResultSet{}, fmt.Errorf("core: bandwidth queries take no annotation")
+		}
+		rows, err := a.queryBandwidth(spec)
+		if err != nil {
+			return ResultSet{}, err
+		}
+		return ResultSet{Spec: spec, Bandwidth: rows}, nil
 	}
 	g, err := a.queryGraph(spec.Metric, spec.Bucket)
 	if err != nil {
@@ -163,67 +136,30 @@ func (a *Analyzer) Query(spec QuerySpec) (ResultSet, error) {
 	if err != nil {
 		return ResultSet{}, err
 	}
+	rs := ResultSet{Spec: spec}
+	if spec.K <= 1 && !spec.Annotate {
+		// The single-best case routes through the shared-source-tree
+		// batch engine, which is cheaper than Yen's algorithm at K=1.
+		if rs.Rows, err = a.bestAlternatesWith(g, spec.Metric, spec.MaxVia, excluded, a.workers()); err != nil {
+			return ResultSet{}, err
+		}
+		return rs, nil
+	}
 	ann, err := a.annotationsFor(spec)
 	if err != nil {
 		return ResultSet{}, err
 	}
-	workers := a.workers()
-	k := spec.K
-	if k < 1 {
-		k = 1
+	if rs.Rows, rs.Pairs, err = a.queryK(g, spec, max(spec.K, 1), excluded, ann); err != nil {
+		return ResultSet{}, err
 	}
-	var pairs []PairPathSet
-	if k == 1 {
-		// The single-best case routes through the shared-source-tree
-		// batch engine, which is cheaper than Yen's algorithm at K=1.
-		results, err := a.bestAlternatesWith(g, spec.Metric, spec.MaxVia, excluded, workers)
-		if err != nil {
-			return ResultSet{}, err
-		}
-		// Every pair's hop slices and one-path set come from three
-		// slabs; the 3-index slices cap each piece so an append by a
-		// consumer reallocates instead of overwriting a neighbour.
-		nHops := 0
-		for _, r := range results {
-			nHops += len(r.Via) + 2
-		}
-		altHops := make([]topology.HostID, 0, nHops)
-		defHops := make([]topology.HostID, 2*len(results))
-		alts := make([]pathset.Path, len(results))
-		pairs = make([]PairPathSet, len(results))
-		for i, r := range results {
-			start := len(altHops)
-			altHops = append(altHops, r.Key.Src)
-			altHops = append(altHops, r.Via...)
-			altHops = append(altHops, r.Key.Dst)
-			hops := altHops[start:len(altHops):len(altHops)]
-			alts[i] = pathset.Path{
-				Hops:    hops,
-				Weight:  a.hopsWeight(g, hops),
-				Value:   r.AltValue,
-				Summary: r.Alternate,
-			}
-			a.annotatePath(g, spec.Metric, ann, &alts[i])
-			def := defHops[2*i : 2*i+2 : 2*i+2]
-			def[0], def[1] = r.Key.Src, r.Key.Dst
-			pairs[i] = PairPathSet{
-				Key:        r.Key,
-				Default:    a.defaultPath(g, spec.Metric, ann, r, def),
-				Alternates: pathset.PathSet{Paths: alts[i : i+1 : i+1]},
-			}
-		}
-	} else {
-		pairs, err = a.queryK(g, spec, k, excluded, ann, workers)
-		if err != nil {
-			return ResultSet{}, err
-		}
-	}
-	return ResultSet{Spec: spec, Pairs: pairs}, nil
+	return rs, nil
 }
 
-// queryK is the K>1 engine: per-pair Yen searches sharded across
-// workers, each with a persistent scratch arena and yenState.
-func (a *Analyzer) queryK(g *graph, spec QuerySpec, k int, excluded []bool, ann annotations, workers int) ([]PairPathSet, error) {
+// queryK is the path-set engine: per-pair Yen searches sharded across
+// workers, each with a persistent scratch arena and yenState. Yen's
+// first path is the single-best search's, so each set's head row
+// equals the batch engine's row for the pair.
+func (a *Analyzer) queryK(g *graph, spec QuerySpec, k int, excluded []bool, ann annotations) ([]PairResult, []PairPathSet, error) {
 	g.freeze()
 	keys := a.ds.PairKeys()
 	type pairJob struct {
@@ -242,8 +178,10 @@ func (a *Analyzer) queryK(g *graph, spec QuerySpec, k int, excluded []bool, ann 
 		}
 		jobs = append(jobs, pairJob{key: key, si: int32(si), di: int32(di)})
 	}
-	slots := make([]PairPathSet, len(jobs))
+	rows := make([]PairResult, len(jobs))
+	sets := make([]PairPathSet, len(jobs))
 	valid := make([]bool, len(jobs))
+	workers := a.workers()
 	wa := newWorkerArenas(g, workers)
 	defer wa.release()
 	ys := make([]*yenState, workers)
@@ -270,25 +208,35 @@ func (a *Analyzer) queryK(g *graph, spec QuerySpec, k int, excluded []bool, ann 
 			}
 			set.Paths = append(set.Paths, p)
 		}
-		def := PairResult{Key: j.key, Default: direct.summary, DefaultValue: direct.value}
-		slots[i] = PairPathSet{
+		best := set.Paths[0]
+		rows[i] = PairResult{
+			Key:          j.key,
+			Default:      direct.summary,
+			Alternate:    best.Summary,
+			DefaultValue: direct.value,
+			AltValue:     best.Value,
+			Via:          best.Via(),
+		}
+		sets[i] = PairPathSet{
 			Key:        j.key,
-			Default:    a.defaultPath(g, spec.Metric, ann, def, []topology.HostID{j.key.Src, j.key.Dst}),
+			Default:    a.defaultPath(g, spec.Metric, ann, direct, []topology.HostID{j.key.Src, j.key.Dst}),
 			Alternates: set,
 		}
 		valid[i] = true
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := make([]PairPathSet, 0, len(jobs))
+	// Compact in place: the write index never passes the read index.
+	n := 0
 	for i, ok := range valid {
 		if ok {
-			out = append(out, slots[i])
+			rows[n], sets[n] = rows[i], sets[i]
+			n++
 		}
 	}
-	return out, nil
+	return rows[:n], sets[:n], nil
 }
 
 // annotations bundles the optional cross-metric graphs and the AS
@@ -298,11 +246,12 @@ type annotations struct {
 	ases      bool
 }
 
-// annotationsFor resolves the annotation plan: AS sets under Annotate
-// or for K > 1 path sets, cross-metric graphs only under Annotate and
-// only for the metrics the query's own value does not already fill.
+// annotationsFor resolves the annotation plan: AS sets for K > 1 path
+// sets (their one reader is AS-level disjointness), cross-metric graphs
+// only under Annotate and only for the metrics the query's own value
+// does not already fill.
 func (a *Analyzer) annotationsFor(spec QuerySpec) (annotations, error) {
-	ann := annotations{ases: spec.Annotate || spec.K > 1}
+	ann := annotations{ases: spec.K > 1}
 	if !spec.Annotate {
 		return ann, nil
 	}
@@ -335,39 +284,12 @@ func (a *Analyzer) composedPath(g *graph, metric Metric, ann annotations, vp []i
 	return p, nil
 }
 
-// defaultPath builds the pair's default (direct) path from a
-// PairResult row over the caller's two-element hop slice.
-func (a *Analyzer) defaultPath(g *graph, metric Metric, ann annotations, r PairResult, hops []topology.HostID) pathset.Path {
-	p := pathset.Path{
-		Hops:    hops,
-		Value:   r.DefaultValue,
-		Summary: r.Default,
-	}
-	if metric == MetricLoss {
-		p.Weight = lossWeight(r.DefaultValue)
-	} else {
-		p.Weight = r.DefaultValue
-	}
+// defaultPath builds the pair's default (direct) path from its
+// measured edge over the caller's two-element hop slice.
+func (a *Analyzer) defaultPath(g *graph, metric Metric, ann annotations, direct edge, hops []topology.HostID) pathset.Path {
+	p := pathset.Path{Hops: hops, Weight: direct.weight, Value: direct.value, Summary: direct.summary}
 	a.annotatePath(g, metric, ann, &p)
 	return p
-}
-
-// hopsWeight computes the stored-edge weight sum for a host sequence.
-func (a *Analyzer) hopsWeight(g *graph, hops []topology.HostID) float64 {
-	w := 0.0
-	for i := 0; i+1 < len(hops); i++ {
-		si, ok1 := g.index[hops[i]]
-		di, ok2 := g.index[hops[i+1]]
-		if !ok1 || !ok2 {
-			return math.Inf(1)
-		}
-		e, found := g.directEdge(si, di)
-		if !found {
-			return math.Inf(1)
-		}
-		w += e.weight
-	}
-	return w
 }
 
 // annotatePath fills the cross-metric and AS annotations per the
@@ -465,9 +387,9 @@ func (a *Analyzer) pathASes(hops []topology.HostID) []topology.ASN {
 // queryBandwidth is the Mathis-model branch of Query: per pair, the
 // single best one-hop relay by modeled throughput, scanned in dataset
 // host order so the earliest host wins ties.
-func (a *Analyzer) queryBandwidth(spec QuerySpec) (ResultSet, error) {
+func (a *Analyzer) queryBandwidth(spec QuerySpec) ([]BandwidthResult, error) {
 	if spec.K > 1 {
-		return ResultSet{}, fmt.Errorf("core: bandwidth queries find the single best alternate, not K=%d", spec.K)
+		return nil, fmt.Errorf("core: bandwidth queries find the single best alternate, not K=%d", spec.K)
 	}
 	bq := spec.Bandwidth
 	hosts := a.ds.Hosts
@@ -478,7 +400,7 @@ func (a *Analyzer) queryBandwidth(spec QuerySpec) (ResultSet, error) {
 	}
 	excluded, err := spec.Exclude.mask(hosts, index)
 	if err != nil {
-		return ResultSet{}, err
+		return nil, err
 	}
 	// Per-path transfer means, dense over host indices; ok marks a
 	// measured path.
@@ -498,7 +420,8 @@ func (a *Analyzer) queryBandwidth(spec QuerySpec) (ResultSet, error) {
 			st[si*n+di] = pathStat{rtt: rtt.Mean, loss: loss.Mean, ok: true}
 		}
 	}
-	slots := make([]PairPathSet, len(keys))
+	results := make([]BandwidthResult, len(keys))
+	valid := make([]bool, len(keys))
 	err = fanout.For(a.context(), a.workers(), len(keys), func(_, i int) error {
 		key := keys[i]
 		si, ok1 := index[key.Src]
@@ -515,7 +438,6 @@ func (a *Analyzer) queryBandwidth(spec QuerySpec) (ResultSet, error) {
 			return fmt.Errorf("core: default bandwidth for %v: %w", key, err)
 		}
 		bestBW, bestVia := math.Inf(-1), -1
-		var bestRTT, bestLoss float64
 		for v := range hosts {
 			if v == si || v == di || (excluded != nil && excluded[v]) {
 				continue
@@ -539,47 +461,25 @@ func (a *Analyzer) queryBandwidth(spec QuerySpec) (ResultSet, error) {
 				return fmt.Errorf("core: alternate bandwidth for %v via %d: %w", key, hosts[v], err)
 			}
 			if bw > bestBW {
-				bestBW, bestVia, bestRTT, bestLoss = bw, v, rtt, loss
+				bestBW, bestVia = bw, v
 			}
 		}
 		if bestVia < 0 {
 			return nil
 		}
-		// The default's and the alternate's hops share one slice, each
-		// capped at its own length.
-		hops := []topology.HostID{key.Src, key.Dst, key.Src, hosts[bestVia], key.Dst}
-		def := pathset.Path{
-			Hops:      hops[0:2:2],
-			Weight:    -defBW,
-			Value:     defBW,
-			Summary:   stats.Summary{Mean: defBW},
-			LatencyMs: direct.rtt,
-			Loss:      direct.loss,
-		}
-		alt := pathset.Path{
-			Hops:      hops[2:5:5],
-			Weight:    -bestBW,
-			Value:     bestBW,
-			Summary:   stats.Summary{Mean: bestBW},
-			LatencyMs: bestRTT,
-			Loss:      bestLoss,
-		}
-		if spec.Annotate {
-			def.ASes = a.pathASes(def.Hops)
-			alt.ASes = a.pathASes(alt.Hops)
-		}
-		slots[i] = PairPathSet{Key: key, Default: def, Alternates: pathset.PathSet{Paths: []pathset.Path{alt}}}
+		results[i] = BandwidthResult{Key: key, DefaultKBs: defBW, AltKBs: bestBW, Via: hosts[bestVia]}
+		valid[i] = true
 		return nil
 	})
 	if err != nil {
-		return ResultSet{}, err
+		return nil, err
 	}
-	// Compact the pairs that found an alternate, in PairKeys order.
-	pairs := slots[:0]
-	for _, p := range slots {
-		if !p.Alternates.Empty() {
-			pairs = append(pairs, p)
+	// Compact in place, in PairKeys order.
+	out := results[:0]
+	for i, ok := range valid {
+		if ok {
+			out = append(out, results[i])
 		}
 	}
-	return ResultSet{Spec: spec, Pairs: pairs}, nil
+	return out, nil
 }

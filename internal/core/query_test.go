@@ -105,9 +105,67 @@ func TestQueryK1ByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if got := rs.PairResults(); !reflect.DeepEqual(got, want) {
+				if got := rs.Rows; !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: Query K=1 diverges from the oracle", name)
 				}
+			}
+		}
+	}
+}
+
+// headRows flattens path sets to one row per pair: each set's head
+// against its default.
+func headRows(pairs []PairPathSet) []PairResult {
+	out := make([]PairResult, len(pairs))
+	for i, p := range pairs {
+		best := p.Alternates.Paths[0]
+		out[i] = PairResult{
+			Key:          p.Key,
+			Default:      p.Default.Summary,
+			Alternate:    best.Summary,
+			DefaultValue: p.Default.Value,
+			AltValue:     best.Value,
+			Via:          best.Via(),
+		}
+	}
+	return out
+}
+
+// TestQueryKRowsMatchK1: the rows of a K>1 query and the heads of an
+// annotated K=1 query's path sets (both from Yen's engine) equal the
+// batch engine's K=1 rows, and a plain K=1 query builds no paths.
+func TestQueryKRowsMatchK1(t *testing.T) {
+	ds := randomDataset(42, 12, 0.6)
+	a := NewAnalyzer(ds)
+	for _, metric := range []Metric{MetricRTT, MetricLoss} {
+		for _, maxVia := range []int{0, 1, 2} {
+			name := fmt.Sprintf("%v/maxVia=%d", metric, maxVia)
+			one, err := a.Query(QuerySpec{Metric: metric, MaxVia: maxVia})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(one.Rows) == 0 || one.Pairs != nil {
+				t.Fatalf("%s: K=1 gave %d rows and %d path sets", name, len(one.Rows), len(one.Pairs))
+			}
+			three, err := a.Query(QuerySpec{Metric: metric, MaxVia: maxVia, K: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(three.Rows, one.Rows) {
+				t.Errorf("%s: K=3 rows diverge from K=1 rows", name)
+			}
+			if !reflect.DeepEqual(headRows(three.Pairs), one.Rows) {
+				t.Errorf("%s: K=3 set heads diverge from K=1 rows", name)
+			}
+			ann, err := a.Query(QuerySpec{Metric: metric, MaxVia: maxVia, Annotate: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(headRows(ann.Pairs), one.Rows) {
+				t.Errorf("%s: annotated K=1 set heads diverge from K=1 rows", name)
+			}
+			if !reflect.DeepEqual(ann.Rows, one.Rows) {
+				t.Errorf("%s: annotated K=1 rows diverge from K=1 rows", name)
 			}
 		}
 	}
@@ -134,7 +192,7 @@ func TestQueryBandwidthByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := rs.BandwidthResults(); !reflect.DeepEqual(got, want) {
+				if got := rs.Bandwidth; !reflect.DeepEqual(got, want) {
 					t.Errorf("%v excluding %v conc=%d: bandwidth Query diverges from the oracle", mode, exclude, conc)
 				}
 			}
@@ -159,14 +217,17 @@ func bandwidthDataset(seed int64, n int) *dataset.Dataset {
 }
 
 // TestQueryBandwidthSingleBest: bandwidth queries find one alternate
-// per pair, validate their exclusions against the host list, and never
-// route through an excluded host.
+// per pair, take no annotation, validate their exclusions against the
+// host list, and never route through an excluded host.
 func TestQueryBandwidthSingleBest(t *testing.T) {
 	ds := bandwidthDataset(9, 10)
 	a := NewAnalyzer(ds)
 	bq := &BandwidthQuery{Model: tcpmodel.Default(), Mode: Pessimistic}
 	if _, err := a.Query(QuerySpec{Bandwidth: bq, K: 2}); err == nil {
 		t.Error("bandwidth query with K=2 should error")
+	}
+	if _, err := a.Query(QuerySpec{Bandwidth: bq, Annotate: true}); err == nil {
+		t.Error("annotated bandwidth query should error")
 	}
 	if _, err := a.Query(QuerySpec{Bandwidth: bq, Exclude: Exclusions{Hosts: []topology.HostID{99}}}); err == nil {
 		t.Error("unknown excluded host should error")
@@ -183,7 +244,7 @@ func TestQueryBandwidthSingleBest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows := trs.BandwidthResults(); len(rows) != 1 || rows[0].Via != 2 {
+	if rows := trs.Bandwidth; len(rows) != 1 || rows[0].Via != 2 {
 		t.Errorf("tied relays: %+v, want 0->1 via the earlier host 2", rows)
 	}
 	all, err := a.Query(QuerySpec{Bandwidth: bq, K: 1})
@@ -192,7 +253,7 @@ func TestQueryBandwidthSingleBest(t *testing.T) {
 	}
 	// Excluding the most popular relay must actually reroute pairs.
 	uses := map[topology.HostID]int{}
-	for _, r := range all.BandwidthResults() {
+	for _, r := range all.Bandwidth {
 		uses[r.Via]++
 	}
 	top := topology.HostID(-1)
@@ -208,17 +269,12 @@ func TestQueryBandwidthSingleBest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.Pairs) == 0 {
+	if len(rs.Bandwidth) == 0 {
 		t.Fatal("no pairs left after excluding one relay")
 	}
-	for _, p := range rs.Pairs {
-		if p.Alternates.Len() != 1 {
-			t.Fatalf("%v: %d alternates, want 1", p.Key, p.Alternates.Len())
-		}
-		for _, h := range p.Alternates.Paths[0].Hops {
-			if h == top {
-				t.Fatalf("%v: excluded host %d on path %v", p.Key, top, p.Alternates.Paths[0].Hops)
-			}
+	for _, r := range rs.Bandwidth {
+		if r.Via == top || r.Key.Src == top || r.Key.Dst == top {
+			t.Fatalf("%v: excluded host %d used, via %d", r.Key, top, r.Via)
 		}
 	}
 }
@@ -241,10 +297,10 @@ func TestQueryExclusions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rs.PairResults(); !reflect.DeepEqual(got, want) {
+	if got := rs.Rows; !reflect.DeepEqual(got, want) {
 		t.Error("typed Exclusions diverge from the positional mask")
 	}
-	for _, r := range rs.PairResults() {
+	for _, r := range rs.Rows {
 		if r.Key.Src == 2 || r.Key.Dst == 2 || r.Key.Src == 5 || r.Key.Dst == 5 {
 			t.Fatalf("excluded endpoint surfaced: %v", r.Key)
 		}
@@ -370,38 +426,48 @@ func TestQueryAnnotate(t *testing.T) {
 	addLoss(ds, 0, 1, 2, 20)
 	addLoss(ds, 0, 2, 0, 20)
 	addLoss(ds, 2, 1, 1, 20)
-	rs, err := NewAnalyzer(ds).Query(QuerySpec{Metric: MetricRTT, Annotate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs.Pairs) == 0 {
-		t.Fatal("no pairs")
-	}
-	var pp PairPathSet
-	for _, p := range rs.Pairs {
-		if p.Key == k01 {
-			pp = p
+	// Annotate composes the other metric at any K; AS sets come with
+	// K > 1 path sets only.
+	for _, k := range []int{1, 2} {
+		rs, err := NewAnalyzer(ds).Query(QuerySpec{Metric: MetricRTT, K: k, Annotate: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	alt := pp.Alternates.Paths[0]
-	if alt.LatencyMs != alt.Value {
-		t.Errorf("RTT query should self-annotate latency: %g vs %g", alt.LatencyMs, alt.Value)
-	}
-	if math.IsNaN(alt.Loss) || alt.Loss <= 0 {
-		t.Errorf("cross-metric loss not composed: %g", alt.Loss)
-	}
-	// Interior ASes of 0->2->1: union {10,20,12,21,11} minus src AS 10
-	// and dst AS 11.
-	want := []topology.ASN{12, 20, 21}
-	if !reflect.DeepEqual(alt.ASes, want) {
-		t.Errorf("alt ASes %v, want %v", alt.ASes, want)
-	}
-	// Default path 0->1 interior: {10,30,11} minus endpoints.
-	if !reflect.DeepEqual(pp.Default.ASes, []topology.ASN{30}) {
-		t.Errorf("default ASes %v, want [30]", pp.Default.ASes)
-	}
-	if d := pathset.Disjointness(pathset.LevelAS, pp.Default, alt); d != 1 {
-		t.Errorf("disjointness %g, want 1", d)
+		var pp *PairPathSet
+		for i := range rs.Pairs {
+			if rs.Pairs[i].Key == k01 {
+				pp = &rs.Pairs[i]
+			}
+		}
+		if pp == nil {
+			t.Fatalf("K=%d: pair %v missing", k, k01)
+		}
+		alt := pp.Alternates.Paths[0]
+		if alt.LatencyMs != alt.Value {
+			t.Errorf("K=%d: RTT query should self-annotate latency: %g vs %g", k, alt.LatencyMs, alt.Value)
+		}
+		if math.IsNaN(alt.Loss) || alt.Loss <= 0 {
+			t.Errorf("K=%d: cross-metric loss not composed: %g", k, alt.Loss)
+		}
+		if k == 1 {
+			if alt.ASes != nil || pp.Default.ASes != nil {
+				t.Errorf("K=1: AS sets %v and %v, want none", pp.Default.ASes, alt.ASes)
+			}
+			continue
+		}
+		// Interior ASes of 0->2->1: union {10,20,12,21,11} minus src AS
+		// 10 and dst AS 11.
+		want := []topology.ASN{12, 20, 21}
+		if !reflect.DeepEqual(alt.ASes, want) {
+			t.Errorf("alt ASes %v, want %v", alt.ASes, want)
+		}
+		// Default path 0->1 interior: {10,30,11} minus endpoints.
+		if !reflect.DeepEqual(pp.Default.ASes, []topology.ASN{30}) {
+			t.Errorf("default ASes %v, want [30]", pp.Default.ASes)
+		}
+		if d := pathset.Disjointness(pathset.LevelAS, pp.Default, alt); d != 1 {
+			t.Errorf("disjointness %g, want 1", d)
+		}
 	}
 }
 
@@ -409,36 +475,5 @@ func TestQueryRejectsNegativeK(t *testing.T) {
 	ds := randomDataset(1, 5, 0.6)
 	if _, err := NewAnalyzer(ds).Query(QuerySpec{Metric: MetricRTT, K: -1}); err == nil {
 		t.Error("negative K should error")
-	}
-}
-
-// TestQueryK1SlabsAreCapped: K=1 results share three slabs, so every
-// piece must be capped at its length; appending to one pair's hops or
-// path set must reallocate, never overwrite the next pair's.
-func TestQueryK1SlabsAreCapped(t *testing.T) {
-	ds := randomDataset(5, 10, 0.6)
-	rs, err := NewAnalyzer(ds).Query(QuerySpec{Metric: MetricRTT})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs.Pairs) < 2 {
-		t.Fatalf("only %d pairs", len(rs.Pairs))
-	}
-	for _, p := range rs.Pairs {
-		alt := p.Alternates.Paths[0]
-		if cap(p.Default.Hops) != 2 || cap(alt.Hops) != len(alt.Hops) || cap(p.Alternates.Paths) != 1 {
-			t.Fatalf("%v: caps default %d, alternate %d of %d, set %d",
-				p.Key, cap(p.Default.Hops), cap(alt.Hops), len(alt.Hops), cap(p.Alternates.Paths))
-		}
-	}
-	next := rs.Pairs[1]
-	wantDef := append([]topology.HostID(nil), next.Default.Hops...)
-	wantAlt := append([]topology.HostID(nil), next.Alternates.Paths[0].Hops...)
-	first := rs.Pairs[0]
-	_ = append(first.Default.Hops, 99)
-	_ = append(first.Alternates.Paths[0].Hops, 99)
-	_ = append(first.Alternates.Paths, pathset.Path{})
-	if !reflect.DeepEqual(next.Default.Hops, wantDef) || !reflect.DeepEqual(next.Alternates.Paths[0].Hops, wantAlt) {
-		t.Error("appending to one pair's hops changed its neighbour")
 	}
 }

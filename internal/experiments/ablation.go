@@ -125,7 +125,7 @@ func runCauseVariant(cfg Config, v CauseVariant) (CauseResult, error) {
 	if err != nil {
 		return CauseResult{}, err
 	}
-	results := rs.PairResults()
+	results := rs.Rows
 	if len(results) == 0 {
 		return CauseResult{}, fmt.Errorf("no comparable pairs")
 	}

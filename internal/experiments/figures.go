@@ -28,7 +28,7 @@ func improvementSeries(s *Suite, dss []*dataset.Dataset, metric core.Metric, max
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s/%v: %w", ds.Name, metric, err)
 		}
-		out = append(out, Series{Name: ds.Name, CDF: core.ImprovementCDF(rs.PairResults())})
+		out = append(out, Series{Name: ds.Name, CDF: core.ImprovementCDF(rs.Rows)})
 	}
 	return out, nil
 }
@@ -48,7 +48,7 @@ func Figure2(s *Suite) ([]Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Series{Name: ds.Name, CDF: core.RatioCDF(rs.PairResults())})
+		out = append(out, Series{Name: ds.Name, CDF: core.RatioCDF(rs.Rows)})
 	}
 	return out, nil
 }
@@ -70,7 +70,7 @@ func bandwidthSeries(s *Suite, ratio bool) ([]Series, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s bandwidth: %w", ds.Name, err)
 			}
-			results := rs.BandwidthResults()
+			results := rs.Bandwidth
 			vals := make([]float64, 0, len(results))
 			for _, r := range results {
 				if ratio {
@@ -122,7 +122,7 @@ func Figure7(s *Suite) ([]core.CIPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.ImprovementsWithCI(rs.PairResults(), Confidence), nil
+	return core.ImprovementsWithCI(rs.Rows, Confidence), nil
 }
 
 // Figure8 is the same for loss rate.
@@ -131,7 +131,7 @@ func Figure8(s *Suite) ([]core.CIPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.ImprovementsWithCI(rs.PairResults(), Confidence), nil
+	return core.ImprovementsWithCI(rs.Rows, Confidence), nil
 }
 
 // bucketSeries runs the time-of-day breakdown on UW3 (Figures 9 and 10).
@@ -143,7 +143,7 @@ func bucketSeries(s *Suite, metric core.Metric) ([]Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Series{Name: b.String(), CDF: core.ImprovementCDF(rs.PairResults())})
+		out = append(out, Series{Name: b.String(), CDF: core.ImprovementCDF(rs.Rows)})
 	}
 	return out, nil
 }
@@ -163,7 +163,7 @@ func Figure11(s *Suite) ([]Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	bResults := brs.PairResults()
+	bResults := brs.Rows
 	ep, err := s.analyzer(s.UW4A).AnalyzeEpisodes()
 	if err != nil {
 		return nil, err
@@ -193,7 +193,7 @@ func Figure12(s *Suite) (Figure12Result, error) {
 	if err != nil {
 		return Figure12Result{}, err
 	}
-	all := allRS.PairResults()
+	all := allRS.Rows
 	// Removing ten of the paper's 39 hosts drops about a quarter of the
 	// host set; cap the removal at that proportion so reduced host sets
 	// (the quick preset) test the same question.
@@ -245,8 +245,8 @@ func Figure15(s *Suite) ([]Series, error) {
 		return nil, err
 	}
 	return []Series{
-		{Name: "propagation delay", CDF: core.ImprovementCDF(prop.PairResults())},
-		{Name: "mean round-trip", CDF: core.ImprovementCDF(rtt.PairResults())},
+		{Name: "propagation delay", CDF: core.ImprovementCDF(prop.Rows)},
+		{Name: "mean round-trip", CDF: core.ImprovementCDF(rtt.Rows)},
 	}, nil
 }
 

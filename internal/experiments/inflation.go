@@ -62,7 +62,7 @@ func PathInflation(s *Suite) ([]InflationResult, InflationSummary, error) {
 	if err != nil {
 		return nil, InflationSummary{}, err
 	}
-	results := rs.PairResults()
+	results := rs.Rows
 	var out []InflationResult
 	for _, r := range results {
 		optRTT, err := opt.HostRTT(r.Key.Src, r.Key.Dst)

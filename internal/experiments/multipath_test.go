@@ -96,7 +96,7 @@ func TestQueryPresetEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := rs.PairResults()
+		want := rs.Rows
 		if len(want) == 0 {
 			t.Fatal("no pairs")
 		}
@@ -105,7 +105,7 @@ func TestQueryPresetEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(rs.PairResults(), want) {
+			if !reflect.DeepEqual(rs.Rows, want) {
 				t.Fatalf("conc=%d: Query K=1 diverges from the sequential run on %s", conc, s.UW3.Name)
 			}
 		}

@@ -54,7 +54,7 @@ func TestScaleSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := rs.PairResults()
+		got := rs.Rows
 		if want == nil {
 			want = got
 		} else if !reflect.DeepEqual(got, want) {

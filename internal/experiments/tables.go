@@ -34,7 +34,7 @@ func verdictTable(s *Suite, metric core.Metric) ([]VerdictRow, error) {
 		}
 		out = append(out, VerdictRow{
 			Dataset: ds.Name,
-			Counts:  core.ClassifyVerdicts(rs.PairResults(), Confidence),
+			Counts:  core.ClassifyVerdicts(rs.Rows, Confidence),
 		})
 	}
 	return out, nil

@@ -100,7 +100,7 @@ func ValidateConservativity(s *Suite) (ConservativityResult, error) {
 	if err != nil {
 		return ConservativityResult{}, err
 	}
-	results := rs.PairResults()
+	results := rs.Rows
 	times := validationSampleTimes()
 	var out ConservativityResult
 	for _, r := range results {
@@ -213,7 +213,7 @@ func AblateEgress(cfg Config) ([]EgressAblation, error) {
 		if err != nil {
 			return nil, err
 		}
-		results := rs.PairResults()
+		results := rs.Rows
 		var meanDefault stats.Accum
 		for _, r := range results {
 			meanDefault.Add(r.DefaultValue)
@@ -261,7 +261,7 @@ func Triangulation(s *Suite) ([]TriangulationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	results := rs.PairResults()
+	results := rs.Rows
 	out := make([]TriangulationResult, 0, len(results))
 	for _, r := range results {
 		out = append(out, TriangulationResult{
